@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci lint vet fetchphilint lint-gate build test race trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke bench sweep report baseline baseline-claims baseline-lint baseline-stress gate clean
+.PHONY: ci lint vet fetchphilint lint-gate build test race trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke bench sweep report baseline baseline-claims baseline-lint baseline-stress gate fuzz clean
 
 # ci is the full tier-1 pipeline: static checks (vet + the repo's own
 # analysis suite, gated against the checked-in lint baseline), build,
@@ -43,10 +43,15 @@ test:
 # concurrently, and the claims evaluator. The experiments package is
 # restricted to its parallel-sweep tests: the exhaustive conformance
 # runs there are single-worker model checks where the race detector
-# adds minutes and finds nothing.
+# adds minutes and finds nothing. The live-view tests (snapshots taken
+# while workers run) then repeat under 1, 2 and 4 cores: a snapshot
+# read-order bug can hide on one core count and fail on another.
 race:
 	$(GO) test -race ./internal/nativelock/... ./internal/stress/... ./internal/memsim/... ./internal/harness/... ./internal/obs/... ./internal/fleet/... ./internal/telemetry/... ./internal/claims/...
 	$(GO) test -race -run 'TestE10|TestSweep' ./internal/experiments/...
+	for p in 1 2 4; do \
+		GOMAXPROCS=$$p $(GO) test -race -count=5 -run 'Live|Snapshot|Watch' ./internal/stress/ ./internal/telemetry/ ./cmd/lockstress/ || exit 1; \
+	done
 
 # trace-smoke exercises the whole trace pipeline on a real workload:
 # record a 4-process G-DSM run as a fetchphi.trace/v1 artifact,
@@ -160,6 +165,15 @@ baseline-stress:
 # a fresh clone.
 gate:
 	$(GO) run ./cmd/report -quick -out bench/current -baseline bench/baseline
+
+# fuzz runs the shared artifact reader's fuzz target for FUZZTIME
+# (default 60s). Plain `go test` already replays its seed corpus (every
+# bench/baseline artifact plus a written fixture of each schema); this
+# target explores beyond it and is not part of ci. Minimization is
+# capped because the seeds are large artifacts.
+FUZZTIME ?= 60s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadArtifact$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/obs/
 
 # clean empties bench/current but keeps the directory (and its
 # self-ignoring .gitignore) in place.

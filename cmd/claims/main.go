@@ -26,19 +26,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"strings"
 
 	"fetchphi/internal/claims"
+	"fetchphi/internal/obs"
 )
-
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -72,7 +64,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	art := claims.Evaluate(b)
 	art.CreatedBy = "cmd/claims"
-	art.Commit = gitCommit()
+	art.Commit = obs.GitCommit()
 	art.BenchDir = *bench
 
 	if *markdown {
@@ -113,7 +105,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%d claims -> %s\n", len(art.Claims), *out)
 		}
 		if *htmlOut != "" {
-			if err := writeHTML(art, *htmlOut); err != nil {
+			if err := obs.WriteFileAtomic(*htmlOut, claims.HTML(art)); err != nil {
 				fmt.Fprintf(stderr, "claims: %v\n", err)
 				return 2
 			}
@@ -142,14 +134,4 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// writeHTML writes the report through a temp file + rename, matching
-// the artifact discipline.
-func writeHTML(art *claims.Artifact, path string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, claims.HTML(art), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

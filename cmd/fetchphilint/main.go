@@ -365,13 +365,7 @@ func writeSARIF(path string, a *obs.LintArtifact) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(path, data, 0o644)
+	return obs.WriteFileAtomic(path, append(data, '\n'))
 }
 
 // selectPackages resolves the argument list to sorted module-relative

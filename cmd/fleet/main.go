@@ -47,7 +47,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -55,25 +54,16 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/exec"
-	"strings"
 	"time"
 
 	"fetchphi/internal/experiments"
 	"fetchphi/internal/fleet"
 	"fetchphi/internal/harness"
+	"fetchphi/internal/obs"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }
 
 func usage(stderr io.Writer) int {
@@ -192,7 +182,7 @@ func runServe(argv []string, stdout, stderr io.Writer) int {
 		CheckpointPath: *checkpoint,
 		CapacityPath:   *capacity,
 		CreatedBy:      "cmd/fleet",
-		Commit:         gitCommit(),
+		Commit:         obs.GitCommit(),
 	})
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -287,15 +277,9 @@ func runStatus(argv []string, stdout, stderr io.Writer) int {
 	if *watch {
 		return runWatch(stdout, stderr, *coordinator, *interval, *artifacts)
 	}
-	resp, err := http.Get(*coordinator + fleet.PathStatus)
-	if err != nil {
-		fmt.Fprintf(stderr, "fleet: %v\n", err)
-		return 1
-	}
-	defer resp.Body.Close()
 	var st fleet.StatusResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		fmt.Fprintf(stderr, "fleet: decode status: %v\n", err)
+	if err := getJSON(http.DefaultClient, *coordinator+fleet.PathStatus, &st); err != nil {
+		fmt.Fprintf(stderr, "fleet: status: %v\n", err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "%s: %s", st.Algorithm, st.State)
@@ -373,7 +357,7 @@ func runLocal(argv []string, stdout, stderr io.Writer) int {
 		CheckpointPath: *checkpoint,
 		CapacityPath:   *capacity,
 		CreatedBy:      "cmd/fleet",
-		Commit:         gitCommit(),
+		Commit:         obs.GitCommit(),
 	})
 	fmt.Fprintf(stdout, "fleet: in-process run of %s N=%d entries=%d K=%d with %d workers\n",
 		cfg.Algorithm, cfg.N, cfg.Entries, cfg.Preemptions, *workers)

@@ -109,7 +109,9 @@ func (b *liveBoard) fail(lock string, workers int) {
 	}
 }
 
-// frame snapshots every row into render inputs.
+// frame snapshots every row into render inputs. A finished row renders
+// its final Progress; a live row renders one Tracker.Snapshot, so every
+// row keeps that snapshot's invariant: its latency counts are ≤ Ops.
 func (b *liveBoard) frame() []watchRow {
 	b.mu.Lock()
 	defer b.mu.Unlock()

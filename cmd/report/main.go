@@ -8,7 +8,7 @@
 //
 //	report [-experiments all|E1,E2,...] [-quick] [-seed N] [-workers W]
 //	       [-out dir] [-baseline dir] [-degrade F] [-flight SPANS]
-//	       [-progress] [-claims=false] [-v]
+//	       [-progress] [-claims=false] [-v[=csv]]
 //
 // The simulation experiments run concurrently (each one shards its
 // cells across its own sweep-engine pool); wall-clock experiments
@@ -35,7 +35,9 @@
 // contradicted claim fails the run, claims whose experiments weren't
 // swept stay inconclusive. -claims=false skips this. -progress streams
 // per-cell sweep progress lines to stderr (observation-only: it never
-// changes measured metrics).
+// changes measured metrics). -v prints every experiment's rendered
+// tables once the sweep is done, in registry order; -v=csv prints them
+// as CSV instead.
 package main
 
 import (
@@ -45,9 +47,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -63,15 +64,48 @@ import (
 type expRun struct {
 	id       string
 	artifact *obs.Artifact
+	tables   []harness.Table
 	err      error
 }
 
-func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
+// tablesFlag is the -v flag: a bare -v (or -v=text) prints the rendered
+// tables as text, -v=csv prints them as CSV, and -v=false prints none.
+type tablesFlag string
+
+func (f *tablesFlag) String() string   { return string(*f) }
+func (f *tablesFlag) IsBoolFlag() bool { return true }
+
+func (f *tablesFlag) Set(s string) error {
+	switch s {
+	case "true", "text":
+		*f = "text"
+	case "false":
+		*f = ""
+	case "csv":
+		*f = "csv"
+	default:
+		return fmt.Errorf("want text or csv, got %q", s)
 	}
-	return strings.TrimSpace(string(out))
+	return nil
+}
+
+// print writes tables in the flag's format, each followed by a blank
+// line; it prints nothing when the flag is off.
+func (f tablesFlag) print(w io.Writer, tables []harness.Table) error {
+	if f == "" {
+		return nil
+	}
+	for i := range tables {
+		if f == "csv" {
+			if err := tables[i].WriteCSV(w); err != nil {
+				return err
+			}
+		} else {
+			tables[i].Format(w)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
 }
 
 func main() {
@@ -126,8 +160,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		flight   = fs.Int("flight", trace.DefaultSpanLimit, "flight-recorder window in spans per process (0 = off)")
 		progress = fs.Bool("progress", false, "stream per-cell sweep progress to stderr")
 		doClaims = fs.Bool("claims", true, "evaluate the paper-claims registry over the output artifacts")
-		verbose  = fs.Bool("v", false, "print the rendered tables")
+		verbose  tablesFlag
 	)
+	fs.Var(&verbose, "v", "print the rendered tables after the sweep: -v for text, -v=csv for CSV")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -154,7 +189,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	commit := gitCommit()
+	commit := obs.GitCommit()
 	params := obs.Params{Quick: *quick, Seed: *seed, Workers: *workers}
 	var fl *flightLog
 	if *flight > 0 {
@@ -208,17 +243,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 					}
 				}
 			}
-			tables := e.Build(opts)
-			for i := range tables {
-				art.Tables = append(art.Tables, tables[i].JSON())
-			}
-			if *verbose {
-				mu.Lock()
-				for i := range tables {
-					tables[i].Format(stdout)
-					fmt.Fprintln(stdout)
-				}
-				mu.Unlock()
+			run.tables = e.Build(opts)
+			for i := range run.tables {
+				art.Tables = append(art.Tables, run.tables[i].JSON())
 			}
 		}()
 		run.artifact = art
@@ -232,29 +259,36 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	// needed around the cell slices. Wall-clock experiments (E9) wait
 	// until the simulations are done, then run one at a time: their
 	// ns/op numbers are only meaningful on an otherwise idle machine.
-	runs := make([]expRun, 0, len(selected))
+	// Each experiment fills its own registry slot, so results come out
+	// in registry order (E1…E10) however the goroutines finish.
+	runs := make([]expRun, len(registry))
 	var wg sync.WaitGroup
-	for _, e := range registry {
+	for i, e := range registry {
 		if !selected[e.ID] || e.WallClock {
 			continue
 		}
-		e := e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := runOne(e)
-			mu.Lock()
-			runs = append(runs, run)
-			mu.Unlock()
+			runs[i] = runOne(e)
 		}()
 	}
 	wg.Wait()
-	for _, e := range registry {
+	for i, e := range registry {
 		if selected[e.ID] && e.WallClock {
-			runs = append(runs, runOne(e))
+			runs[i] = runOne(e)
 		}
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].id < runs[j].id })
+	runs = slices.DeleteFunc(runs, func(r expRun) bool { return !selected[r.id] })
+
+	// The tables print once the sweep is done, never interleaved by the
+	// concurrent experiments.
+	for _, r := range runs {
+		if err := verbose.print(stdout, r.tables); err != nil {
+			fmt.Fprintf(stderr, "report: %v\n", err)
+			return 1
+		}
+	}
 
 	failed := false
 	for _, r := range runs {
@@ -361,7 +395,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			if err := art.WriteFile(claimsPath); err != nil {
 				fmt.Fprintf(stderr, "report: %v\n", err)
 				failed = true
-			} else if err := writeClaimsHTML(art, htmlPath); err != nil {
+			} else if err := obs.WriteFileAtomic(htmlPath, claims.HTML(art)); err != nil {
 				fmt.Fprintf(stderr, "report: %v\n", err)
 				failed = true
 			} else {
@@ -387,14 +421,4 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// writeClaimsHTML writes the claims report through a temp file +
-// rename, matching the artifact discipline.
-func writeClaimsHTML(art *claims.Artifact, path string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, claims.HTML(art), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,6 +69,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"unknown experiment", []string{"-experiments", "E42"}, "unknown experiment"},
 		{"empty experiments", []string{"-experiments", ","}, "no experiments selected"},
 		{"missing baseline dir", []string{"-baseline", filepath.Join(t.TempDir(), "absent")}, "does not exist"},
+		{"bad table format", []string{"-v=xml"}, "want text or csv"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,5 +305,52 @@ func TestFlightDisabled(t *testing.T) {
 	}
 	if code, _, _ := runArgs("-flight", "-1"); code != 2 {
 		t.Fatal("negative -flight accepted")
+	}
+}
+
+// TestRunVerboseTablesInRegistryOrder: -v prints the tables once the
+// sweep is done, in registry order — E5 before E10, although E10 sorts
+// first by id and the two experiments run concurrently — and before
+// the artifact summary lines.
+func TestRunVerboseTablesInRegistryOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments")
+	}
+	code, stdout, stderr := runArgs("-experiments", "E10,E5", "-quick", "-v", "-claims=false", "-out", t.TempDir())
+	if code != 0 {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
+	}
+	e5, e10 := strings.Index(stdout, "E5 — "), strings.Index(stdout, "E10 — ")
+	if e5 < 0 || e10 < 0 || e5 > e10 {
+		t.Fatalf("tables not in registry order (E5 at %d, E10 at %d):\n%s", e5, e10, stdout)
+	}
+	if summary := strings.Index(stdout, "E10: "); summary < e10 {
+		t.Fatalf("artifact summary printed before the tables:\n%s", stdout)
+	}
+}
+
+// TestRunVerboseCSV: -v=csv prints each table as CSV whose header row
+// is the experiment column followed by the table's columns.
+func TestRunVerboseCSV(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real experiment")
+	}
+	dir := t.TempDir()
+	code, stdout, stderr := runArgs("-experiments", "E5", "-quick", "-v=csv", "-claims=false", "-out", dir)
+	if code != 0 {
+		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
+	}
+	art, err := obs.ReadArtifact(filepath.Join(dir, obs.ArtifactName("E5")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, _, _ := strings.Cut(stdout, "\n\n")
+	records, err := csv.NewReader(strings.NewReader(table)).ReadAll()
+	if err != nil {
+		t.Fatalf("stdout is not CSV: %v\n%s", err, stdout)
+	}
+	want := append([]string{"experiment"}, art.Tables[0].Columns...)
+	if len(records) != len(art.Tables[0].Rows)+1 || strings.Join(records[0], ",") != strings.Join(want, ",") {
+		t.Fatalf("CSV header %q with %d rows, want %q with %d", records[0], len(records)-1, want, len(art.Tables[0].Rows))
 	}
 }

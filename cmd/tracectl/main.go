@@ -12,7 +12,10 @@
 // -list names) on a simulated machine with a trace recorder attached
 // and writes the span timeline as a trace artifact. -limit bounds the
 // retained spans per process (the flight-recorder window); 0 keeps the
-// whole run.
+// whole run. After its summary line it prints the run's RMR hotspots:
+// the shared variables that attracted the most remote references, with
+// each one's share of the total (-cs 0 leaves the critical section
+// empty, so only the lock's own variables compete).
 //
 // convert turns a trace artifact into Chrome trace-event JSON: open
 // ui.perfetto.dev and drop the file in to browse per-process
@@ -139,6 +142,12 @@ func record(argv []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "%s %s N=%d seed=%d: %d spans over %d steps -> %s\n",
 		*alg, mm, *n, *seed, len(a.Spans), met.Result.Steps, *out)
+	if total := met.Result.TotalRMRs(); total > 0 {
+		fmt.Fprintf(stdout, "\n%-36s %10s %7s\n", "variable", "RMRs", "share")
+		for _, v := range met.Hotspots {
+			fmt.Fprintf(stdout, "%-36s %10d %6.1f%%\n", v.Name, v.RMRs, 100*float64(v.RMRs)/float64(total))
+		}
+	}
 	if err != nil {
 		return 1
 	}

@@ -3,9 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"fetchphi/internal/harness"
 	"fetchphi/internal/obs"
 	"fetchphi/internal/trace"
 )
@@ -158,5 +160,43 @@ func TestValidateRejectsCorruptArtifact(t *testing.T) {
 	}
 	if code, _, _ := runArgs("convert", "-in", path); code != 1 {
 		t.Fatalf("convert of invalid artifact exited %d, want 1", code)
+	}
+}
+
+// TestRecordPrintsHotspots: record ends with the run's hotspot rows —
+// at most harness.HotspotTopK of them, sorted by RMRs, each with its
+// share of the run's total. MCS at N=8 touches more variables than
+// the cap, and its tail word is the hottest.
+func TestRecordPrintsHotspots(t *testing.T) {
+	code, stdout, stderr := runArgs("record", "-alg", "mcs", "-model", "CC", "-n", "8",
+		"-entries", "10", "-cs", "0", "-out", filepath.Join(t.TempDir(), "TRACE.json"))
+	if code != 0 {
+		t.Fatalf("record exit %d, stderr: %s", code, stderr)
+	}
+	_, table, ok := strings.Cut(stdout, "\nvariable ")
+	if !ok {
+		t.Fatalf("no hotspot table: %q", stdout)
+	}
+	rows := strings.Split(strings.TrimSpace(table), "\n")[1:]
+	if len(rows) == 0 || len(rows) > harness.HotspotTopK {
+		t.Fatalf("%d hotspot rows, want 1..%d:\n%s", len(rows), harness.HotspotTopK, stdout)
+	}
+	prev := int64(-1)
+	for i, row := range rows {
+		f := strings.Fields(row)
+		if len(f) != 3 || !strings.HasSuffix(f[2], "%") {
+			t.Fatalf("row %q is not name, RMRs, share", row)
+		}
+		rmrs, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev >= 0 && rmrs > prev {
+			t.Fatalf("hotspots not sorted by RMRs:\n%s", stdout)
+		}
+		prev = rmrs
+		if i == 0 && f[0] != "mcs.tail" {
+			t.Fatalf("hottest variable %q, want mcs.tail", f[0])
+		}
 	}
 }

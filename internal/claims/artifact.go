@@ -12,13 +12,11 @@
 package claims
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"fetchphi/internal/fit"
+	"fetchphi/internal/obs"
 )
 
 // Schema identifies the claims-artifact format. Bump on incompatible
@@ -170,52 +168,19 @@ func (a *Artifact) Validate() error {
 	return nil
 }
 
-// WriteFile writes the artifact as indented JSON through a temp file +
-// rename, mirroring obs.Artifact.WriteFile: a crashed run never
-// leaves a truncated verdict file behind.
-func (a *Artifact) WriteFile(path string) error {
-	if a.Schema == "" {
-		a.Schema = Schema
-	}
-	a.Sort()
-	if err := a.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("claims: marshal artifact: %w", err)
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("claims: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("claims: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("claims: %w", err)
-	}
-	return nil
+var codec = obs.Codec[Artifact]{
+	Schema:    Schema,
+	Tag:       func(a *Artifact) *string { return &a.Schema },
+	Normalize: (*Artifact).Sort,
+	Validate:  (*Artifact).Validate,
 }
 
+// WriteFile validates the artifact and writes it atomically with the
+// shared obs codec.
+func (a *Artifact) WriteFile(path string) error { return codec.WriteFile(path, a) }
+
 // ReadArtifact loads and validates one claims artifact file.
-func ReadArtifact(path string) (*Artifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("claims: %w", err)
-	}
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("claims: parse %s: %w", path, err)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("claims: %s: %w", path, err)
-	}
-	return &a, nil
-}
+func ReadArtifact(path string) (*Artifact, error) { return codec.ReadFile(path) }
 
 // Flip is one gate failure: a claim the baseline records as
 // reproduced that the current evaluation no longer reproduces (or no

@@ -1,7 +1,7 @@
 // Package experiments implements the per-experiment index of DESIGN.md:
 // every table regenerating the paper's claims (E1–E8) as a function
 // returning harness.Table values. The same builders back the
-// `bench_test.go` targets and the rmrbench command.
+// `bench_test.go` targets and cmd/report, whose -v prints the tables.
 package experiments
 
 import (
@@ -18,7 +18,7 @@ import (
 // Opts scales the experiment workloads.
 type Opts struct {
 	// Quick trims the sweeps for use inside `go test` (fewer process
-	// counts, fewer entries). The full sweeps run in rmrbench and in
+	// counts, fewer entries). The full sweeps run in cmd/report and in
 	// the recorded EXPERIMENTS.md.
 	Quick bool
 	// Seed selects the scheduler seed family.
@@ -28,8 +28,8 @@ type Opts struct {
 	// changes results — only wall-clock time.
 	Workers int
 	// Record, when non-nil, receives one obs.Cell per measured
-	// workload — the hook cmd/report and rmrbench -json use to build
-	// benchmark artifacts. Called sequentially from the experiment
+	// workload — the hook cmd/report uses to build benchmark
+	// artifacts. Called sequentially from the experiment
 	// builder's goroutine, after the cell's run completes.
 	Record func(obs.Cell)
 	// Sink, when non-nil, is asked for a memsim.EventSink for every

@@ -352,6 +352,11 @@ func (c *Coordinator) noteStale(req *ReportRequest) {
 	c.touchWorker(req.Worker, 0, 0)
 }
 
+// handleStatus serves the campaign's live progress. Invariants: the
+// lease counts come from one read of the lease ledger under c.mu, so
+// ReLeases ≤ Leases; Schedules is read before Waves and the campaign
+// bumps Waves before it adds a wave's schedules, so every counted
+// schedule belongs to a counted wave.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	resp := StatusResponse{
@@ -385,8 +390,8 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	table := c.table
 	c.mu.Unlock()
 	sort.Slice(resp.Workers, func(i, j int) bool { return resp.Workers[i].Worker < resp.Workers[j].Worker })
-	resp.Waves = c.metrics.Counter(MetricWaves).Value()
 	resp.Schedules = c.metrics.Counter(MetricSchedules).Value()
+	resp.Waves = c.metrics.Counter(MetricWaves).Value()
 	if table != nil {
 		resp.Model = table.model.String()
 		resp.Depth = table.depth
@@ -396,10 +401,12 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleMetrics serves the registry as one JSON snapshot. The snapshot
-// reads the telemetry clock, so a fake-clock determinism run must not
-// poll this endpoint mid-campaign (the capacity artifact is the
-// deterministic view; this endpoint is the live one).
+// handleMetrics serves the registry as one JSON snapshot, carrying
+// telemetry.Registry.Snapshot's invariant (wave_us.Count ≥
+// fleet.waves). The snapshot reads the telemetry clock, so a fake-clock
+// determinism run must not poll this endpoint mid-campaign (the
+// capacity artifact is the deterministic view; this endpoint is the
+// live one).
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, c.metrics.Snapshot())
 }

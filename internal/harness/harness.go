@@ -100,8 +100,8 @@ type Metrics struct {
 	// the per-phase RMR breakdown.
 	Obs obs.RunMetrics
 	// Hotspots are the run's top-HotspotTopK shared variables by
-	// attracted RMRs (the cmd/hotspots attribution, recorded into
-	// benchmark artifacts).
+	// attracted RMRs (recorded into benchmark artifacts and printed by
+	// `tracectl record`).
 	Hotspots []obs.HotVar
 }
 

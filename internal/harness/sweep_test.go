@@ -116,7 +116,7 @@ func TestRecordCell(t *testing.T) {
 }
 
 // TestCellRecordsHotspots: every successful cell surfaces its top-k
-// per-variable RMR attribution (the cmd/hotspots view) in the
+// per-variable RMR attribution (the `tracectl record` view) in the
 // benchmark-artifact form, ranked descending.
 func TestCellRecordsHotspots(t *testing.T) {
 	for _, r := range Sweep(sweepCells(), 4) {

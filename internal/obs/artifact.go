@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -95,10 +95,10 @@ type Cell struct {
 	// cells).
 	MaxAbortResolve int64 `json:"max_abort_resolve,omitempty"`
 	// Hotspots are the top-k shared variables ranked by the RMR
-	// traffic they attracted (the cmd/hotspots attribution view,
-	// surfaced per cell). Informational: the gate does not compare
-	// them, but a diff pinpoints *where* a regressed cell's extra
-	// RMRs went.
+	// traffic they attracted (the attribution `tracectl record`
+	// prints, surfaced per cell). Informational: the gate does not
+	// compare them, but a diff pinpoints *where* a regressed cell's
+	// extra RMRs went.
 	Hotspots []HotVar `json:"hotspots,omitempty"`
 	// Run holds the distributional metrics.
 	Run RunMetrics `json:"run"`
@@ -135,49 +135,17 @@ func (a *Artifact) Sort() {
 	sort.Slice(a.Cells, func(i, j int) bool { return a.Cells[i].Key() < a.Cells[j].Key() })
 }
 
-// WriteFile writes the artifact as indented JSON, creating parent
-// directories as needed. The write goes through a temp file + rename
-// so a crashed run never leaves a truncated artifact behind.
-func (a *Artifact) WriteFile(path string) error {
-	if a.Schema == "" {
-		a.Schema = Schema
-	}
-	a.Sort()
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal artifact %s: %w", a.Experiment, err)
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	return nil
+var benchCodec = Codec[Artifact]{
+	Schema:    Schema,
+	Tag:       func(a *Artifact) *string { return &a.Schema },
+	Normalize: (*Artifact).Sort,
 }
 
-// ReadArtifact loads and validates one artifact file.
-func ReadArtifact(path string) (*Artifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if a.Schema != Schema {
-		return nil, fmt.Errorf("obs: %s has schema %q, want %q", path, a.Schema, Schema)
-	}
-	return &a, nil
-}
+// WriteFile writes the artifact atomically with the shared codec.
+func (a *Artifact) WriteFile(path string) error { return benchCodec.WriteFile(path, a) }
+
+// ReadArtifact loads and schema-checks one artifact file.
+func ReadArtifact(path string) (*Artifact, error) { return benchCodec.ReadFile(path) }
 
 // ReadArtifactDir loads every fetchphi.bench/v1 artifact in dir.
 // Artifact directories legitimately mix schemas — bench artifacts
@@ -185,45 +153,28 @@ func ReadArtifact(path string) (*Artifact, error) {
 // file — so files whose schema tag differs are skipped, not errors.
 // Files that are not parseable JSON still fail loudly (a truncated
 // artifact must never be silently ignored). Artifacts come back
-// sorted by experiment id, then file name.
+// sorted by experiment id, then file name (os.ReadDir's order).
 func ReadArtifactDir(dir string) ([]*Artifact, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("obs: %w", err)
 	}
 	var arts []*Artifact
-	names := make(map[*Artifact]string)
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("obs: %w", err)
-		}
-		var probe struct {
-			Schema string `json:"schema"`
-		}
-		if err := json.Unmarshal(data, &probe); err != nil {
-			return nil, fmt.Errorf("obs: parse %s: %w", path, err)
-		}
-		if probe.Schema != Schema {
+		a, err := ReadArtifact(filepath.Join(dir, e.Name()))
+		var foreign *SchemaError
+		if errors.As(err, &foreign) {
 			continue
 		}
-		var a Artifact
-		if err := json.Unmarshal(data, &a); err != nil {
-			return nil, fmt.Errorf("obs: parse %s: %w", path, err)
+		if err != nil {
+			return nil, err
 		}
-		arts = append(arts, &a)
-		names[&a] = e.Name()
+		arts = append(arts, a)
 	}
-	sort.Slice(arts, func(i, j int) bool {
-		if arts[i].Experiment != arts[j].Experiment {
-			return arts[i].Experiment < arts[j].Experiment
-		}
-		return names[arts[i]] < names[arts[j]]
-	})
+	sort.SliceStable(arts, func(i, j int) bool { return arts[i].Experiment < arts[j].Experiment })
 	return arts, nil
 }
 

@@ -3,8 +3,6 @@ package obs
 import (
 	"os"
 	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -47,9 +45,10 @@ func sampleArtifact() *Artifact {
 	}
 }
 
+// TestArtifactRoundTrip: a round-tripped bench artifact gates clean
+// against itself (TestCodec covers the codec's own properties).
 func TestArtifactRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, ArtifactName("E1"))
+	path := filepath.Join(t.TempDir(), ArtifactName("E1"))
 	a := sampleArtifact()
 	if err := a.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -58,10 +57,6 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, got) {
-		t.Fatalf("round trip diverged:\nwrote %+v\nread  %+v", a, got)
-	}
-	// Round-tripped artifacts must gate clean against themselves.
 	if regs := Compare(a, got, nil); len(regs) != 0 {
 		t.Fatalf("self-comparison regressed: %v", regs)
 	}
@@ -84,20 +79,6 @@ func TestArtifactWriteCreatesDirsAndSorts(t *testing.T) {
 		if got.Cells[i-1].Key() >= got.Cells[i].Key() {
 			t.Fatalf("cells not in canonical order: %q ≥ %q", got.Cells[i-1].Key(), got.Cells[i].Key())
 		}
-	}
-}
-
-func TestReadArtifactRejectsWrongSchema(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.json")
-	a := sampleArtifact()
-	a.Schema = "something/else"
-	// Bypass WriteFile's schema defaulting by writing the raw form.
-	if err := a.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadArtifact(path); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("expected schema error, got %v", err)
 	}
 }
 

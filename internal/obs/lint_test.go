@@ -23,6 +23,8 @@ func sampleLint() *LintArtifact {
 	}
 }
 
+// TestLintArtifactRoundTrip: Normalize sorts packages and algorithms
+// on write, and the RMR rows survive the round trip.
 func TestLintArtifactRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "LINT.json")
 	a := sampleLint()
@@ -33,9 +35,6 @@ func TestLintArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema != LintSchema {
-		t.Errorf("schema %q", got.Schema)
-	}
 	// Normalize sorts packages on write.
 	if got.Packages[0] != "internal/baseline" {
 		t.Errorf("packages not sorted: %v", got.Packages)
@@ -45,18 +44,6 @@ func TestLintArtifactRoundTrip(t *testing.T) {
 	}
 	if got.Algorithms[1].RMR.Declared != "O(1)" {
 		t.Errorf("rmr lost: %+v", got.Algorithms[1].RMR)
-	}
-}
-
-func TestReadLintArtifactRejectsWrongSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "LINT.json")
-	a := sampleLint()
-	a.Schema = "fetchphi.bench/v1"
-	if err := a.WriteFile(path); err == nil {
-		// WriteFile fills empty schemas but keeps explicit ones.
-		if _, err := ReadLintArtifact(path); err == nil {
-			t.Fatal("wrong schema accepted")
-		}
 	}
 }
 

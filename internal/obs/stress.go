@@ -10,10 +10,7 @@ package obs
 // latency, with wall-clock-sized tolerances.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -95,49 +92,17 @@ func (a *StressArtifact) Normalize() {
 	})
 }
 
-// WriteFile writes the artifact as indented JSON through a temp file +
-// rename (the artifact discipline: a crashed run never leaves a
-// truncated artifact), creating parent directories as needed.
-func (a *StressArtifact) WriteFile(path string) error {
-	if a.Schema == "" {
-		a.Schema = StressSchema
-	}
-	a.Normalize()
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal stress artifact: %w", err)
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	return nil
+var stressCodec = Codec[StressArtifact]{
+	Schema:    StressSchema,
+	Tag:       func(a *StressArtifact) *string { return &a.Schema },
+	Normalize: (*StressArtifact).Normalize,
 }
 
-// ReadStressArtifact loads and validates one stress artifact file.
-func ReadStressArtifact(path string) (*StressArtifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	var a StressArtifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if a.Schema != StressSchema {
-		return nil, fmt.Errorf("obs: %s has schema %q, want %q", path, a.Schema, StressSchema)
-	}
-	return &a, nil
-}
+// WriteFile writes the artifact atomically with the shared codec.
+func (a *StressArtifact) WriteFile(path string) error { return stressCodec.WriteFile(path, a) }
+
+// ReadStressArtifact loads and schema-checks one stress artifact.
+func ReadStressArtifact(path string) (*StressArtifact, error) { return stressCodec.ReadFile(path) }
 
 // CompareStress gates current against baseline, returning one line per
 // regression (empty means the gate passes). maxDegrade is the

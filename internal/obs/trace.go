@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -146,48 +143,16 @@ func TraceArtifactName(cellKey string) string {
 	return fmt.Sprintf("TRACE_%s.json", b.String())
 }
 
-// WriteFile writes the artifact as indented JSON through a temp file +
-// rename, mirroring Artifact.WriteFile.
-func (a *TraceArtifact) WriteFile(path string) error {
-	if a.Schema == "" {
-		a.Schema = TraceSchema
-	}
-	a.Sort()
-	if err := a.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal trace artifact: %w", err)
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	return nil
+var traceCodec = Codec[TraceArtifact]{
+	Schema:    TraceSchema,
+	Tag:       func(a *TraceArtifact) *string { return &a.Schema },
+	Normalize: (*TraceArtifact).Sort,
+	Validate:  (*TraceArtifact).Validate,
 }
 
+// WriteFile validates the artifact and writes it atomically with the
+// shared codec.
+func (a *TraceArtifact) WriteFile(path string) error { return traceCodec.WriteFile(path, a) }
+
 // ReadTraceArtifact loads and validates one trace artifact file.
-func ReadTraceArtifact(path string) (*TraceArtifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	var a TraceArtifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("obs: %s: %w", path, err)
-	}
-	return &a, nil
-}
+func ReadTraceArtifact(path string) (*TraceArtifact, error) { return traceCodec.ReadFile(path) }

@@ -240,6 +240,11 @@ func (p Progress) OpsPerSec() float64 {
 // Snapshot captures the run's current Progress. After finish it reads
 // no clock (the end stamp is fixed); mid-run it reads the clock once
 // for the elapsed time.
+//
+// Invariant: every count in the snapshot is ≤ Ops — the histogram
+// counts, each PerWorkerOps entry and their sum, and the window
+// counts. record bumps seq before anything else, so Snapshot loads seq
+// last: every observation it has already seen was counted in seq first.
 func (t *Tracker) Snapshot() Progress {
 	var el int64
 	if d := t.doneNS.Load(); d > 0 {
@@ -247,7 +252,7 @@ func (t *Tracker) Snapshot() Progress {
 	} else {
 		el = t.reg.Now().Sub(t.start).Nanoseconds()
 	}
-	p := Progress{Ops: t.seq.Load(), ElapsedNS: el}
+	p := Progress{ElapsedNS: el}
 	for w := 0; w < t.workers; w++ {
 		a := t.acquire[w].Snapshot()
 		p.AcquireNS.Merge(&a)
@@ -259,6 +264,7 @@ func (t *Tracker) Snapshot() Progress {
 	}
 	p.JainIndex = jain(p.PerWorkerOps)
 	p.MinWindowJain, p.WindowRates = t.windows(el)
+	p.Ops = t.seq.Load()
 	return p
 }
 

@@ -201,6 +201,12 @@ type Snapshot struct {
 }
 
 // Snapshot captures the registry. It reads the clock exactly once.
+//
+// Invariant: each metric is read atomically, and every counter is read
+// before any histogram, so a histogram that a writer observes into
+// before it bumps a counter keeps Count ≥ that counter (the fleet's
+// wave_us histogram against fleet.waves). The snapshot is not a cut
+// across counters: no order holds between two counters.
 func (r *Registry) Snapshot() Snapshot {
 	elapsed := r.now().Sub(r.start).Microseconds()
 	r.mu.Lock()
