@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: ci lint vet fetchphilint lint-gate build test race trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke bench sweep report baseline baseline-claims baseline-lint baseline-stress gate fuzz clean
+.PHONY: ci lint vet fetchphilint lint-gate build test race trace-smoke explore-smoke stress-smoke abort-smoke claims claims-smoke bench sweep report baseline baseline-claims baseline-lint baseline-stress gate fuzz clean
 
 # ci is the full tier-1 pipeline: static checks (vet + the repo's own
 # analysis suite, gated against the checked-in lint baseline), build,
 # tests, the race detector over the genuinely concurrent packages, the
-# trace-pipeline smoke test, the sharded model-checker smoke, the
-# distributed-fleet + telemetry smokes, the native-stress smoke, the
-# abortable-pipeline smoke, and the claims-conformance gate + smoke.
-ci: lint-gate build test race trace-smoke explore-smoke fleet-smoke telemetry-smoke stress-smoke abort-smoke claims claims-smoke
+# trace-pipeline smoke test, the sharded and resumable model-checker
+# smoke, the native-stress smoke, the abortable-pipeline smoke, and the
+# claims-conformance gate + smoke.
+ci: lint-gate build test race trace-smoke explore-smoke stress-smoke abort-smoke claims claims-smoke
 
 # lint runs go vet plus cmd/fetchphilint — the per-package analyzers
 # (awaitwatch, memsimpurity, determinism, phasebalance), the
@@ -37,17 +37,18 @@ test:
 # race covers the packages that use real goroutines: the native spin
 # locks (including the starvation smokes), the stress harness that
 # drives them, the sharded explorer in memsim, the parallel sweep
-# engine and sharded checker in harness (abortable sweeps included),
-# the obs artifact layer they record into, the coordinator/worker
-# fleet, the telemetry registry every fleet component observes into
-# concurrently, and the claims evaluator. The experiments package is
+# engine and sharded checker in harness (abortable sweeps included,
+# and the checkpoint writes the concurrently explored models share),
+# the obs artifact layer they record into, the telemetry registry the
+# sweep and stress workers observe into concurrently, and the claims
+# evaluator. The experiments package is
 # restricted to its parallel-sweep tests: the exhaustive conformance
 # runs there are single-worker model checks where the race detector
 # adds minutes and finds nothing. The live-view tests (snapshots taken
 # while workers run) then repeat under 1, 2 and 4 cores: a snapshot
 # read-order bug can hide on one core count and fail on another.
 race:
-	$(GO) test -race ./internal/nativelock/... ./internal/stress/... ./internal/memsim/... ./internal/harness/... ./internal/obs/... ./internal/fleet/... ./internal/telemetry/... ./internal/claims/...
+	$(GO) test -race ./internal/nativelock/... ./internal/stress/... ./internal/memsim/... ./internal/harness/... ./internal/obs/... ./internal/telemetry/... ./internal/claims/...
 	$(GO) test -race -run 'TestE10|TestSweep' ./internal/experiments/...
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=5 -run 'Live|Snapshot|Watch' ./internal/stress/ ./internal/telemetry/ ./cmd/lockstress/ || exit 1; \
@@ -67,25 +68,15 @@ trace-smoke:
 # arbitration-tree construction, sharded across ≥4 workers, with the
 # coverage recorded as fetchphi.explore/v1 artifacts. -require-exhausted
 # turns a capped (and therefore inconclusive) exploration into a CI
-# failure.
+# failure. The g-dsm check then runs again with -checkpoint (persisting
+# every wave) and once more resuming from the completed checkpoint,
+# which must restore the exhausted verdict from the file.
 explore-smoke:
 	$(GO) run ./cmd/explore -alg g-dsm -n 2 -entries 2 -preemptions 2 -workers 4 -require-exhausted -out bench/current/explore/EXPLORE_g-dsm.json
 	$(GO) run ./cmd/explore -alg tree4 -n 2 -entries 2 -preemptions 2 -workers 4 -require-exhausted -out bench/current/explore/EXPLORE_tree4.json
-
-# fleet-smoke stands up a real (in-process) model-checking fleet — a
-# coordinator plus two workers over loopback HTTP — and exhausts the
-# paper's DSM algorithm at N=2, K=2, recording the wall-clock-free
-# campaign artifact. The verdict must match explore-smoke's g-dsm run
-# bit for bit; the in-repo equivalence tests enforce that invariant.
-fleet-smoke:
-	$(GO) run ./cmd/fleet run -alg g-dsm -n 2 -entries 2 -preemptions 2 -workers 2 -out bench/current/explore/EXPLORE_fleet_g-dsm.json
-
-# telemetry-smoke gates CI on the observability layer: a loopback fleet
-# run must leave behind a valid, Complete fetchphi.capacity/v1 artifact
-# with nonzero schedule/lease/throughput numbers, and /v1/metrics must
-# answer 200 with counters that agree with the artifact.
-telemetry-smoke:
-	$(GO) run ./cmd/fleet smoke -alg g-dsm -n 2 -entries 2 -preemptions 2 -workers 2 -capacity bench/current/explore/CAPACITY_g-dsm.json
+	rm -f bench/current/explore/CHECKPOINT_g-dsm.json
+	$(GO) run ./cmd/explore -alg g-dsm -n 2 -entries 2 -preemptions 2 -workers 4 -require-exhausted -checkpoint bench/current/explore/CHECKPOINT_g-dsm.json
+	$(GO) run ./cmd/explore -alg g-dsm -n 2 -entries 2 -preemptions 2 -workers 4 -require-exhausted -checkpoint bench/current/explore/CHECKPOINT_g-dsm.json
 
 # stress-smoke gates CI on the native-load observability path: a small
 # closed-loop sweep over four locks must leave behind a schema-valid

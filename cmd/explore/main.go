@@ -27,19 +27,12 @@
 // model-check capacity. Exit codes: 0 ok, 1 failure or unmet
 // -require-exhausted, 2 usage error.
 //
-// With -checkpoint, the run goes through the fleet campaign engine's
-// local executor: every completed wave is persisted to the given path
-// (the same fetchphi.explore/v1 Checkpoint extension a fleet
-// coordinator writes), an interrupted run resumes from it without
-// re-exploring finished waves, and the verdict stays bit-identical to
-// the plain path — the golden test pins the -out artifacts equal
-// across both.
-//
-// With -capacity, the run (also via the campaign engine) additionally
-// records a fetchphi.capacity/v1 throughput artifact — wave counts and
-// timings, schedules/sec — the same format a fleet coordinator writes,
-// so local and distributed capacity are tracked side by side. Lease
-// counters stay zero on this path: the local executor leases nothing.
+// With -checkpoint, every completed wave is persisted to the given
+// path as a fetchphi.explore/v1 artifact with the checkpoint
+// extension, and an interrupted run resumes from it without
+// re-exploring finished waves. A resumed run ends with the same
+// verdict and -out artifact as an uninterrupted one; a checkpoint
+// written for a different configuration is refused.
 package main
 
 import (
@@ -52,7 +45,6 @@ import (
 	"time"
 
 	"fetchphi/internal/experiments"
-	"fetchphi/internal/fleet"
 	"fetchphi/internal/harness"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/obs"
@@ -77,8 +69,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		workers     = fs.Int("workers", 0, "wave-shard workers per model (0 = GOMAXPROCS)")
 		progress    = fs.Bool("progress", false, "stream exploration progress to stderr (observation-only)")
 		out         = fs.String("out", "", "write a fetchphi.explore/v1 artifact to this path")
-		checkpoint  = fs.String("checkpoint", "", "persist completed waves to this path and resume from it (fleet checkpoint format)")
-		capacity    = fs.String("capacity", "", "write a fetchphi.capacity/v1 throughput artifact to this path (runs via the campaign engine)")
+		checkpoint  = fs.String("checkpoint", "", "persist completed waves to this path and resume from it")
 		requireFull = fs.Bool("require-exhausted", false, "exit 1 unless every model's schedule space was exhausted within -maxruns")
 		list        = fs.Bool("list", false, "list known algorithms and exit")
 	)
@@ -107,7 +98,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "exploring %s: N=%d, %d entries each, ≤%d preemptions, both models, %d workers\n",
 		*alg, *n, *entries, *preemptions, w)
-	opts := harness.ExploreOptions{Preemptions: *preemptions, MaxRuns: *maxRuns, Workers: w}
+	commit := obs.GitCommit()
+	opts := harness.ExploreOptions{
+		Preemptions: *preemptions, MaxRuns: *maxRuns, Workers: w,
+		Checkpoint: harness.Checkpoint{Path: *checkpoint, Algorithm: *alg, CreatedBy: "cmd/explore", Commit: commit},
+	}
 	//fetchphilint:ignore determinism wall-clock capacity reporting, not a simulated metric
 	start := time.Now()
 	if *progress {
@@ -126,23 +121,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				model, p.Depth, p.Frontier, p.Runs, rate)
 		}
 	}
-	var reports []harness.ModelReport
-	var checkErr error
-	if *checkpoint != "" || *capacity != "" {
-		cfg := fleet.Config{Algorithm: *alg, N: *n, Entries: *entries, Preemptions: *preemptions, MaxRuns: *maxRuns}
-		camp := &fleet.Campaign{
-			Config:         cfg,
-			Exec:           &fleet.LocalExecutor{Build: builder, Config: cfg, Shards: w},
-			CheckpointPath: *checkpoint,
-			CapacityPath:   *capacity,
-			CreatedBy:      "cmd/explore",
-			Commit:         obs.GitCommit(),
-			Progress:       opts.Progress,
-		}
-		reports, _, checkErr = camp.Run()
-	} else {
-		reports, checkErr = harness.CheckSharded(builder, *n, *entries, opts)
-	}
+	reports, checkErr := harness.CheckSharded(builder, *n, *entries, opts)
 	//fetchphilint:ignore determinism wall-clock capacity reporting, not a simulated metric
 	wall := time.Since(start)
 
@@ -150,25 +129,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		Schema:    obs.ExploreSchema,
 		Algorithm: *alg,
 		CreatedBy: "cmd/explore",
-		Commit:    obs.GitCommit(),
+		Commit:    commit,
 		N:         *n, Entries: *entries, Preemptions: *preemptions,
 		MaxRuns: *maxRuns, Workers: w,
 		WallMS: float64(wall.Microseconds()) / 1000,
 	}
 	for _, r := range reports {
-		em := obs.ExploreModel{
-			Model:     r.Model.String(),
-			Runs:      r.Result.Runs,
-			Exhausted: r.Result.Exhausted,
-			DepthRuns: r.Result.DepthRuns,
-		}
-		if r.Result.Err != nil {
-			em.Failure = r.Result.Err.Error()
-			for _, pre := range r.Result.FailingSchedule {
-				em.FailingSchedule = append(em.FailingSchedule, obs.ExplorePreemption{Step: pre.Step, Proc: pre.Proc})
-			}
-		}
-		art.Models = append(art.Models, em)
+		art.Models = append(art.Models, r.Record())
 	}
 	if secs := wall.Seconds(); secs > 0 {
 		art.SchedulesPerSec = float64(art.TotalRuns()) / secs

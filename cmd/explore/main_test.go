@@ -140,11 +140,11 @@ func TestArtifactGoldenAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestArtifactGoldenAcrossCheckpointPaths: the -checkpoint path runs
-// through the fleet campaign engine instead of harness.CheckSharded,
-// and must produce the identical -out artifact (wall-clock fields
-// zeroed). The checkpoint file itself must be a complete
-// fetchphi.explore/v1 checkpoint whose final model records match.
+// TestArtifactGoldenAcrossCheckpointPaths: a -checkpoint run persists
+// and resumes every wave, and must produce the identical -out artifact
+// to a plain run (wall-clock fields zeroed). The checkpoint file itself
+// must be a complete fetchphi.explore/v1 checkpoint whose final model
+// records match.
 func TestArtifactGoldenAcrossCheckpointPaths(t *testing.T) {
 	dir := t.TempDir()
 	load := func(path string, argv ...string) *obs.ExploreArtifact {

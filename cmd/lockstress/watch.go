@@ -5,8 +5,7 @@ package main
 // tracker (a goroutine-safe operation the harness supports mid-run)
 // into plain watchRow values, and renderStressFrame turns rows into
 // text. Rendering is a pure function of the rows, so the frame format
-// is pinned by tests without running a sweep — the same split as the
-// fleet status -watch dashboard.
+// is pinned by tests without running a sweep.
 
 import (
 	"fmt"

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -56,6 +57,9 @@ type ExploreOptions struct {
 	// ProgressEvery adds intra-wave progress events every this many
 	// runs (0: wave boundaries only).
 	ProgressEvery int
+	// Checkpoint, when its Path is set, makes CheckSharded resumable
+	// (see checkpoint.go).
+	Checkpoint Checkpoint
 }
 
 // ModelReport pairs one memory model with its exploration outcome.
@@ -67,10 +71,10 @@ type ModelReport struct {
 // CheckExplorer builds the explorer for one model: n processes, each
 // performing `entries` bare acquire/CS/release entries of the
 // algorithm under test. It is exported because it is the single
-// definition of the model-check workload: every execution backend —
-// Check, CheckSharded, and the distributed fleet workers in
-// internal/fleet — must build machines through it, or their results
-// would not be comparable, let alone bit-identical.
+// definition of the model-check workload: Check, CheckSharded, and any
+// caller that drives an explorer itself must build machines through
+// it, or their results would not be comparable, let alone
+// bit-identical.
 func CheckExplorer(b Builder, model memsim.Model, n, entries int, opts ExploreOptions) *memsim.Explorer {
 	maxRuns := opts.MaxRuns
 	if maxRuns <= 0 {
@@ -109,8 +113,8 @@ func CheckExplorer(b Builder, model memsim.Model, n, entries int, opts ExploreOp
 }
 
 // CheckFailure converts one model's failing exploration into the
-// error Check has always reported. Exported so fleet-backed check
-// variants produce byte-identical error messages to the local paths.
+// error Check has always reported. Exported so callers that drive an
+// explorer themselves report byte-identical error messages.
 func CheckFailure(model memsim.Model, res memsim.ExploreResult) error {
 	return fmt.Errorf("harness: model %v, schedule %v (run %d): %w", model, res.FailingSchedule, res.Runs, res.Err)
 }
@@ -140,7 +144,10 @@ func Check(b Builder, n, entries, preemptions, maxRuns int) error {
 // canonical FailingSchedule bit-identical to a sequential exploration;
 // when several models fail, the error reports the first failing model
 // in that order. The reports are returned even on failure, so callers
-// can record capacity artifacts for failed checks too.
+// can record artifacts for failed checks too. With opts.Checkpoint.Path
+// set, the check resumes from that checkpoint and persists every
+// completed wave to it (see checkpoint.go); a checkpoint that cannot be
+// read, resumed or written fails the check with no reports.
 func CheckSharded(b Builder, n, entries int, opts ExploreOptions) ([]ModelReport, error) {
 	models := opts.Models
 	if len(models) == 0 {
@@ -149,17 +156,46 @@ func CheckSharded(b Builder, n, entries int, opts ExploreOptions) ([]ModelReport
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	reports := make([]ModelReport, len(models))
+	states := make([]memsim.ExploreState, len(models))
+	for i := range states {
+		states[i] = *memsim.NewExploreState()
+	}
+	var ck *checkpointer
+	if opts.Checkpoint.Path != "" {
+		ck = newCheckpointer(n, entries, opts, models)
+		if err := ck.restore(states); err != nil {
+			return nil, err
+		}
+	}
+	saveErrs := make([]error, len(models))
 	var wg sync.WaitGroup
 	for i, model := range models {
 		i, model := i, model
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reports[i] = ModelReport{Model: model, Result: CheckExplorer(b, model, n, entries, opts).Run()}
+			e := CheckExplorer(b, model, n, entries, opts)
+			for done := false; !done; {
+				done = e.Wave(&states[i])
+				if saveErrs[i] = ck.save(i, &states[i]); saveErrs[i] != nil {
+					return
+				}
+			}
 		}()
 	}
 	wg.Wait()
+	if err := errors.Join(saveErrs...); err != nil {
+		return nil, err
+	}
+	if ck != nil {
+		if err := ck.artifact(true).WriteFile(ck.Path); err != nil {
+			return nil, err
+		}
+	}
+	reports := make([]ModelReport, len(models))
+	for i, model := range models {
+		reports[i] = ModelReport{Model: model, Result: states[i].Result}
+	}
 	for _, r := range reports {
 		if r.Result.Err != nil {
 			return reports, CheckFailure(r.Model, r.Result)

@@ -108,7 +108,8 @@ type ProgressEvent struct {
 type Progress func(ProgressEvent)
 
 // Sweep telemetry metric names (internal/telemetry flat-name
-// convention). cells/sec is Snapshot.PerSec(MetricSweepCells);
+// convention). cells/sec is the MetricSweepCells counter over
+// Snapshot.ElapsedUS;
 // MetricSweepAccountUS isolates the post-simulation RMR-accounting
 // overhead (attribution, histogram fills, validation) from the cell
 // total, so "how much of a sweep is bookkeeping" is a direct quantile

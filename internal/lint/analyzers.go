@@ -29,11 +29,9 @@ var DeterministicPackages = []string{
 	"internal/trace",
 	"internal/fit",
 	"internal/claims",
-	"internal/fleet",
 	"internal/telemetry",
 	"internal/stress",
 	"cmd/explore",
-	"cmd/fleet",
 	"cmd/lockstress",
 }
 

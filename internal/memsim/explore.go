@@ -24,7 +24,9 @@ import (
 // which makes every wave an embarrassingly parallel batch: the waves
 // can be sharded across workers (see explore_shard.go) and merged by
 // canonical index, so the result is bit-identical to a sequential walk
-// regardless of worker timing.
+// regardless of worker timing. Explorer.Wave runs one wave at a time
+// over an exported ExploreState, which is what lets harness checkpoint
+// an exploration between waves and resume it.
 
 // Preemption forces a context switch to Proc just before the operation
 // at the given step index.
@@ -193,20 +195,14 @@ func contains(xs []int, x int) bool {
 	return false
 }
 
-// ScheduleOutcome is one schedule's outcome within a wave: its
-// failure, if any, and the child schedules it spawns for the next
-// wave. It is exported because it is also the unit of work a
-// distributed fleet worker reports back to its coordinator (see
-// internal/fleet): the coordinator concatenates Children in canonical
-// index order to form the next wave, exactly like Explorer.Run does.
-type ScheduleOutcome struct {
-	// Err is the schedule's failure (violation, deadlock, step bound,
-	// or Check error), nil if it passed.
-	Err error
-	// Children are the next-wave schedules this schedule spawns, in
-	// canonical (step, proc) order. Empty for failing schedules and
-	// for schedules already at the preemption bound.
-	Children [][]Preemption
+// scheduleOutcome is one schedule's outcome within a wave: its
+// failure (violation, deadlock, step bound, or Check error), if any,
+// and the next-wave schedules it spawns in canonical (step, proc)
+// order — none for failing schedules and for schedules already at the
+// preemption bound.
+type scheduleOutcome struct {
+	err      error
+	children [][]Preemption
 }
 
 // runOne executes one schedule against a fresh machine and, unless the
@@ -216,7 +212,7 @@ type ScheduleOutcome struct {
 // together with waves listing children in parent order — is what makes
 // a wave's index order the canonical (shortest, then lexicographic)
 // order on schedules.
-func (e *Explorer) runOne(sched []Preemption, maxPre int) ScheduleOutcome {
+func (e *Explorer) runOne(sched []Preemption, maxPre int) scheduleOutcome {
 	ch := &chooser{preemptions: sched}
 	if n := len(sched); n > 0 {
 		ch.traceFrom = sched[n-1].Step + 1
@@ -229,11 +225,11 @@ func (e *Explorer) runOne(sched []Preemption, maxPre int) ScheduleOutcome {
 	}
 	m := e.Build()
 	r := m.Run(RunConfig{Sched: ch, MaxSteps: e.MaxSteps})
-	wr := ScheduleOutcome{Err: r.Err()}
-	if wr.Err == nil && e.Check != nil {
-		wr.Err = e.Check(r)
+	wr := scheduleOutcome{err: r.Err()}
+	if wr.err == nil && e.Check != nil {
+		wr.err = e.Check(r)
 	}
-	if wr.Err != nil || !expand {
+	if wr.err != nil || !expand {
 		return wr
 	}
 	for _, cp := range ch.choices {
@@ -244,70 +240,131 @@ func (e *Explorer) runOne(sched []Preemption, maxPre int) ScheduleOutcome {
 			child := make([]Preemption, len(sched)+1)
 			copy(child, sched)
 			child[len(sched)] = Preemption{Step: cp.step, Proc: alt}
-			wr.Children = append(wr.Children, child)
+			wr.children = append(wr.children, child)
 		}
 	}
 	return wr
 }
 
-// Run explores the preemption-bounded schedule space wave by wave,
-// stopping after the first wave that contains a failure. The reported
-// failure is the canonically smallest failing schedule; Runs,
-// Exhausted, and DepthRuns are bit-identical for every Workers value
-// because each wave is either executed in full or truncated to a
-// canonical prefix when MaxRuns lands inside it.
-func (e *Explorer) Run() ExploreResult {
-	maxPre := e.ResolvedPreemptions()
+// ResolvedPreemptions returns the literal preemption bound K that the
+// MaxPreemptions encoding selects: ZeroPreemptions resolves to 0, zero
+// resolves to DefaultPreemptions, positive values pass through.
+func (e *Explorer) ResolvedPreemptions() int {
+	switch {
+	case e.MaxPreemptions < 0:
+		return 0
+	case e.MaxPreemptions == 0:
+		return DefaultPreemptions
+	default:
+		return e.MaxPreemptions
+	}
+}
+
+// ExploreState is an exploration between two waves: everything Wave
+// needs to run the next one. It is exported so that a caller can
+// persist it between waves and resume from it later (harness
+// checkpoints it as the fetchphi.explore/v1 checkpoint extension);
+// because wave execution is a pure function of the machine, a resumed
+// exploration ends bit-identical to an uninterrupted one.
+type ExploreState struct {
+	// Depth is the preemption depth of the pending wave: the number of
+	// waves that completed without finishing the exploration.
+	Depth int
+	// Frontier is the pending wave, in canonical order. A fresh
+	// exploration's frontier is the single empty schedule.
+	Frontier [][]Preemption
+	// Result is the coverage so far. Runs and DepthRuns grow wave by
+	// wave; Err, FailingSchedule and Exhausted are set when the
+	// exploration finishes.
+	Result ExploreResult
+	// Done is true once the exploration has finished: the space was
+	// exhausted, MaxRuns was hit, or a wave contained a failure.
+	Done bool
+}
+
+// NewExploreState returns the state of an exploration that has not run
+// any wave yet.
+func NewExploreState() *ExploreState {
+	return &ExploreState{Frontier: [][]Preemption{nil}}
+}
+
+// Wave runs the pending wave of st and advances st past it, returning
+// true once the exploration is done (a done state is left unchanged).
+// Each wave is either executed in full or truncated to its canonical
+// prefix when MaxRuns lands inside it, and the first failing index of
+// a wave in canonical order is the canonically smallest failing
+// schedule, so the final state is bit-identical for every Workers
+// value.
+func (e *Explorer) Wave(st *ExploreState) (done bool) {
+	if st.Done {
+		return true
+	}
 	maxRuns := e.MaxRuns
 	if maxRuns <= 0 {
 		maxRuns = 200_000
+	}
+	if len(st.Frontier) == 0 {
+		st.Result.Exhausted = true
+		st.Done = true
+		return true
+	}
+	if st.Result.Runs >= maxRuns {
+		// Cap hit with work left: not exhausted.
+		st.Frontier, st.Done = nil, true
+		return true
+	}
+	wave := st.Frontier
+	truncated := false
+	if remaining := maxRuns - st.Result.Runs; len(wave) > remaining {
+		// Run the canonical prefix of the wave, so the set of
+		// schedules executed under the cap is deterministic too.
+		wave = wave[:remaining]
+		truncated = true
+	}
+	if e.Progress != nil {
+		e.Progress(ExploreProgress{Depth: st.Depth, Frontier: len(wave), Runs: st.Result.Runs})
 	}
 	workers := e.Workers
 	if workers < 1 {
 		workers = 1
 	}
-
-	var res ExploreResult
-	wave := [][]Preemption{nil}
-	for depth := 0; len(wave) > 0; depth++ {
-		if res.Runs >= maxRuns {
-			return res // cap hit with work left: not exhausted
+	out := e.runWave(wave, st.Depth, st.Result.Runs, e.ResolvedPreemptions(), workers)
+	st.Result.Runs += len(wave)
+	st.Result.DepthRuns = append(st.Result.DepthRuns, len(wave))
+	// Canonical merge: the wave is in canonical order and was run to
+	// completion, so the first failing index is the canonically
+	// smallest failing schedule no matter which worker ran it — and
+	// any failure in a deeper wave is canonically larger.
+	for i := range out {
+		if out[i].err != nil {
+			st.Result.Err = out[i].err
+			st.Result.FailingSchedule = wave[i]
+			st.Frontier, st.Done = nil, true
+			return true
 		}
-		truncated := false
-		if remaining := maxRuns - res.Runs; len(wave) > remaining {
-			// Run the canonical prefix of the wave, so the set of
-			// schedules executed under the cap is deterministic too.
-			wave = wave[:remaining]
-			truncated = true
-		}
-		if e.Progress != nil {
-			e.Progress(ExploreProgress{Depth: depth, Frontier: len(wave), Runs: res.Runs})
-		}
-		out := e.runWave(wave, depth, res.Runs, maxPre, workers)
-		res.Runs += len(wave)
-		res.DepthRuns = append(res.DepthRuns, len(wave))
-		// Canonical merge: the wave is in canonical order and was run
-		// to completion, so the first failing index is the canonically
-		// smallest failing schedule no matter which worker ran it —
-		// and any failure in a deeper wave is canonically larger.
-		for i := range out {
-			if out[i].Err != nil {
-				res.Err = out[i].Err
-				res.FailingSchedule = wave[i]
-				return res
-			}
-		}
-		if truncated {
-			return res
-		}
-		var next [][]Preemption
-		for i := range out {
-			next = append(next, out[i].Children...)
-		}
-		wave = next
 	}
-	res.Exhausted = true
-	return res
+	if truncated {
+		st.Frontier, st.Done = nil, true
+		return true
+	}
+	var next [][]Preemption
+	for i := range out {
+		next = append(next, out[i].children...)
+	}
+	st.Frontier = next
+	st.Depth++
+	return false
+}
+
+// Run explores the preemption-bounded schedule space wave by wave,
+// stopping after the first wave that contains a failure. The reported
+// failure is the canonically smallest failing schedule; Runs,
+// Exhausted, and DepthRuns are bit-identical for every Workers value.
+func (e *Explorer) Run() ExploreResult {
+	st := NewExploreState()
+	for !e.Wave(st) {
+	}
+	return st.Result
 }
 
 // ReplaySchedule runs one specific preemption schedule against a fresh

@@ -9,7 +9,7 @@ import (
 // of schedules across a worker pool. Parallelism lives entirely inside
 // a wave — workers share nothing but the frontier deque and the output
 // slice, and every schedule's outcome lands at its own canonical index
-// — so the merge in Explorer.Run never sees worker timing.
+// — so the merge in Explorer.Wave never sees worker timing.
 
 // claimBatch is how many frontier indices a worker claims per deque
 // access: small enough that the tail of a wave still balances across
@@ -72,8 +72,8 @@ func (d *frontierDeque) claim(w, batch int) (lo, hi int, ok bool) {
 // runWave executes one wave of schedules — sequentially, or sharded
 // across workers — and returns the per-schedule outcomes indexed like
 // wave.
-func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, workers int) []ScheduleOutcome {
-	out := make([]ScheduleOutcome, len(wave))
+func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, workers int) []scheduleOutcome {
+	out := make([]scheduleOutcome, len(wave))
 	var completed atomic.Int64
 	tick := func() {
 		if e.Progress == nil || e.ProgressEvery <= 0 {

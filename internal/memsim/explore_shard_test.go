@@ -1,10 +1,12 @@
 package memsim
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -132,10 +134,10 @@ func TestShardedFailureIsCanonicallySmallest(t *testing.T) {
 		var next [][]Preemption
 		for _, sched := range wave {
 			wr := e.runOne(sched, DefaultPreemptions)
-			if wr.Err != nil {
+			if wr.err != nil {
 				failing = append(failing, sched)
 			}
-			next = append(next, wr.Children...)
+			next = append(next, wr.children...)
 		}
 		wave = next
 	}
@@ -260,19 +262,25 @@ func TestExplorerProgressObservationOnly(t *testing.T) {
 }
 
 // TestShardedWallClockSpeedup is the performance half of the sharding
-// contract: on a host with enough cores, Workers=4 explores the smoke
-// configuration at least 2× faster than Workers=1. The exploration is
-// pure CPU work, so the measurement is meaningless on fewer than four
-// cores — the test skips there rather than asserting the impossible.
+// contract: sharding a wave across the host's cores must explore the
+// smoke configuration measurably faster than one worker. With four or
+// more usable CPUs, Workers=4 must be at least 2× faster than
+// Workers=1. With two or three, Workers uses every CPU, and the floor
+// scales with the parallelism the host offers while the test runs (see
+// shardEfficiencyFloor): on two CPUs, `go test ./...` runs another
+// package's tests beside this one. The exploration is pure CPU work,
+// so a single CPU has nothing to measure and skips.
 func TestShardedWallClockSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup measurement skipped in -short mode")
 	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("need ≥4 CPUs for a meaningful speedup measurement, have %d", runtime.NumCPU())
+	cpus := min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	if cpus == 1 {
+		t.Skip("one usable CPU: a parallel speedup cannot be measured")
 	}
+	workers := min(cpus, 4)
 	build := tasLockMachineN(3, 2)
-	measure := func(workers int) time.Duration {
+	explore := func(workers int) time.Duration {
 		start := time.Now()
 		res := (&Explorer{Build: build, MaxPreemptions: 3, MaxSteps: 20_000, Workers: workers}).Run()
 		if res.Err != nil || !res.Exhausted {
@@ -280,21 +288,62 @@ func TestShardedWallClockSpeedup(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	measure(1) // warm up before timing anything
-	best := func(workers int) time.Duration {
-		b := measure(workers)
-		for rep := 1; rep < 3; rep++ {
-			if d := measure(workers); d < b {
-				b = d
+	explore(1) // warm up before timing anything
+	// Interleave the measurements and keep the best of each, so a burst
+	// of load from other processes penalizes every side alike.
+	seq, par := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	spinSeq, spinPar := seq, par
+	for rep := 0; rep < 5; rep++ {
+		seq = min(seq, explore(1))
+		par = min(par, explore(workers))
+		spinSeq = min(spinSeq, spin(1))
+		spinPar = min(spinPar, spin(workers))
+	}
+	speedup := float64(seq) / float64(par)
+	headroom := float64(spinSeq) / float64(spinPar)
+	floor := 2.0
+	if cpus < 4 {
+		floor = shardEfficiencyFloor * headroom
+	}
+	t.Logf("%d CPUs: workers=1: %v, workers=%d: %v (%.2fx); perfectly parallel work: %.2fx; floor %.2fx",
+		cpus, seq, workers, par, speedup, headroom, floor)
+	if speedup < floor {
+		t.Fatalf("workers=%d is %.2fx faster than workers=1, want ≥ %.2fx", workers, speedup, floor)
+	}
+}
+
+// shardEfficiencyFloor is the share of the host's measured parallel
+// speedup that sharded exploration must reach on two or three CPUs.
+// Measured on a 2-CPU host (Go 1.24, linux/amd64), 30 runs: idle,
+// perfectly parallel work sped up 1.80–2.03x and the explorer
+// 1.42–1.74x; beside one or two busy processes, 1.23–1.48x and
+// 0.93–1.56x. The efficiency never fell below 0.69. A fully serialized
+// sharding would score at most 1/1.80 ≈ 0.56 on the idle host.
+const shardEfficiencyFloor = 0.6
+
+// spinSink keeps spin's arithmetic from being optimized away.
+var spinSink atomic.Uint64
+
+// spin splits a fixed amount of CPU-bound arithmetic across workers
+// goroutines that share nothing: its speedup over one worker is the
+// parallelism the host actually offers at the moment.
+func spin(workers int) time.Duration {
+	const iters = 1 << 25
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x := uint64(w)
+			for i := 0; i < iters/workers; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
 			}
-		}
-		return b
+			spinSink.Add(x)
+		}()
 	}
-	seq, par := best(1), best(4)
-	t.Logf("workers=1: %v, workers=4: %v (%.2fx)", seq, par, float64(seq)/float64(par))
-	if par*2 > seq {
-		t.Fatalf("workers=4 took %v, want ≤ half of workers=1 (%v)", par, seq)
-	}
+	wg.Wait()
+	return time.Since(start)
 }
 
 // TestFrontierDequeCoversEveryIndexOnce drives the stealing deque

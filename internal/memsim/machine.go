@@ -80,18 +80,6 @@ func (m Model) String() string {
 	}
 }
 
-// ParseModel inverts Model.String: it is the decode half of every
-// place a model crosses a serialization boundary (explore artifacts,
-// checkpoints, the fleet wire protocol).
-func ParseModel(s string) (Model, error) {
-	for _, m := range []Model{CC, DSM, CCUpdate} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("memsim: unknown memory model %q", s)
-}
-
 // HomeGlobal marks a variable that is remote to every process on a DSM
 // machine (e.g. a centralized lock word).
 const HomeGlobal = -1

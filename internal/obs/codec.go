@@ -1,8 +1,8 @@
 package obs
 
 // The artifact codec: one writer and one reader for every schema the
-// repository records (fetchphi.bench, trace, explore, lint, capacity,
-// stress and claims). Each artifact type supplies only what differs
+// repository records (fetchphi.bench, trace, explore, lint, stress and
+// claims). Each artifact type supplies only what differs
 // between types — its schema tag, its canonical order and, where it
 // has one, its validator — as a Codec value. The bytes on disk are
 // each type's own indented JSON document; the codec adds no envelope.

@@ -55,7 +55,6 @@ var schemas = []schema{
 	schemaOf("trace", obs.TraceSchema, obs.ReadTraceArtifact, (*obs.TraceArtifact).WriteFile, obs.SampleTrace),
 	schemaOf("explore", obs.ExploreSchema, obs.ReadExploreArtifact, (*obs.ExploreArtifact).WriteFile, obs.SampleExplore),
 	schemaOf("lint", obs.LintSchema, obs.ReadLintArtifact, (*obs.LintArtifact).WriteFile, obs.SampleLint),
-	schemaOf("capacity", obs.CapacitySchema, obs.ReadCapacityArtifact, (*obs.CapacityArtifact).WriteFile, obs.SampleCapacity),
 	schemaOf("stress", obs.StressSchema, obs.ReadStressArtifact, (*obs.StressArtifact).WriteFile, obs.SampleStress),
 	schemaOf("claims", claims.Schema, claims.ReadArtifact, (*claims.Artifact).WriteFile, sampleClaims),
 }
@@ -128,7 +127,8 @@ func TestCodec(t *testing.T) {
 // every schema. The reader must never panic, and whatever it accepts
 // must rewrite and read back to the same canonical bytes. The seed
 // corpus is every checked-in baseline plus a written fixture of each
-// type; `make fuzz` explores beyond it.
+// type and a resumable explore checkpoint; `make fuzz` explores beyond
+// it.
 func FuzzReadArtifact(f *testing.F) {
 	baselines, _ := filepath.Glob(filepath.Join("..", "..", "bench", "baseline", "*.json"))
 	if len(baselines) == 0 {
@@ -142,7 +142,8 @@ func FuzzReadArtifact(f *testing.F) {
 		f.Add(data)
 	}
 	dir := f.TempDir()
-	for _, s := range schemas {
+	fixtures := []schema{schemaOf("checkpoint", obs.ExploreSchema, obs.ReadExploreArtifact, (*obs.ExploreArtifact).WriteFile, obs.SampleCheckpoint)}
+	for _, s := range append(fixtures, schemas...) {
 		path := filepath.Join(dir, s.name+".json")
 		if err := s.write(s.fixture(), path); err != nil {
 			f.Fatal(err)

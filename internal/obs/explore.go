@@ -47,11 +47,11 @@ type ExploreArtifact struct {
 	// Models holds one entry per memory model, in check order.
 	Models []ExploreModel `json:"models"`
 	// Checkpoint, when present, makes the artifact a resumable
-	// campaign record: it carries the per-model wave frontier so a
-	// killed coordinator (or an interrupted cmd/explore -checkpoint
-	// run) restarts mid-campaign without re-running finished waves.
-	// A complete campaign keeps its checkpoint with Complete=true —
-	// the final artifact of a resumed run is byte-identical to an
+	// model-check record (harness.Checkpoint): it carries the
+	// per-model wave frontier so an interrupted cmd/explore
+	// -checkpoint run restarts mid-check without re-running finished
+	// waves. A complete check keeps its checkpoint with Complete=true
+	// — the final artifact of a resumed run is byte-identical to an
 	// uninterrupted one.
 	Checkpoint *ExploreCheckpoint `json:"checkpoint,omitempty"`
 	// WallMS is the end-to-end wall-clock time in milliseconds.

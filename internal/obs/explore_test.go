@@ -20,6 +20,25 @@ func sampleExplore() *ExploreArtifact {
 	}
 }
 
+// sampleCheckpoint is a mid-check resumable record: CC still at its
+// root schedule, DSM two waves in.
+func sampleCheckpoint() *ExploreArtifact {
+	art := sampleExplore()
+	art.Models = nil
+	art.WallMS, art.SchedulesPerSec = 0, 0
+	art.Checkpoint = &ExploreCheckpoint{
+		Models: []ExploreModelCheckpoint{
+			{Model: "CC", NextDepth: 0, Frontier: [][]ExplorePreemption{nil}},
+			{Model: "DSM", NextDepth: 2, Runs: 46, DepthRuns: []int{1, 45},
+				Frontier: [][]ExplorePreemption{
+					{{Step: 3, Proc: 1}, {Step: 9, Proc: 0}},
+					{{Step: 3, Proc: 1}, {Step: 11, Proc: 0}},
+				}},
+		},
+	}
+	return art
+}
+
 // TestExploreArtifactRoundTrip: the coverage helpers read the same
 // totals from a round-tripped artifact.
 func TestExploreArtifactRoundTrip(t *testing.T) {
@@ -87,19 +106,7 @@ func TestReadArtifactDirSkipsExploreArtifacts(t *testing.T) {
 // FailingSchedules stay bit-identical) survives a write/read cycle.
 func TestExploreCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	art := sampleExplore()
-	art.Models = nil
-	art.WallMS, art.SchedulesPerSec = 0, 0
-	art.Checkpoint = &ExploreCheckpoint{
-		Models: []ExploreModelCheckpoint{
-			{Model: "CC", NextDepth: 0, Frontier: [][]ExplorePreemption{nil}},
-			{Model: "DSM", NextDepth: 2, Runs: 46, DepthRuns: []int{1, 45},
-				Frontier: [][]ExplorePreemption{
-					{{Step: 3, Proc: 1}, {Step: 9, Proc: 0}},
-					{{Step: 3, Proc: 1}, {Step: 11, Proc: 0}},
-				}},
-		},
-	}
+	art := sampleCheckpoint()
 	if err := art.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}

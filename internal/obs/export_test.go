@@ -4,10 +4,10 @@ package obs
 // live in package obs_test so their schema table can include the
 // claims artifact.
 var (
-	SampleArtifact = sampleArtifact
-	SampleCapacity = sampleCapacity
-	SampleExplore  = sampleExplore
-	SampleLint     = sampleLint
-	SampleStress   = stressFixture
-	SampleTrace    = sampleTrace
+	SampleArtifact   = sampleArtifact
+	SampleCheckpoint = sampleCheckpoint
+	SampleExplore    = sampleExplore
+	SampleLint       = sampleLint
+	SampleStress     = stressFixture
+	SampleTrace      = sampleTrace
 )

@@ -4,7 +4,7 @@ package obs
 // one row per (lock, worker count) run of the internal/stress harness,
 // carrying the full latency distributions (exact-until-overflow
 // reservoirs), fairness metrics, and the windowed throughput timeline.
-// It stands beside the bench (RMR) and capacity (fleet throughput)
+// It stands beside the bench (RMR) and explore (model-check coverage)
 // artifacts as the production-load answer for every lock in the zoo,
 // and CompareStress is its regression gate: throughput and acquire-p99
 // latency, with wall-clock-sized tolerances.

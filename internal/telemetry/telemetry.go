@@ -1,19 +1,18 @@
-// Package telemetry is the live-metrics layer of the fleet: a
-// stdlib-only registry of counters, gauges, and exact-until-overflow
-// histograms (reusing the obs log₂ histogram) that produces
-// deterministic snapshots.
+// Package telemetry is the live-metrics layer behind parallel sweeps
+// (harness.SweepWith) and native stress runs (internal/stress,
+// lockstress -watch): a stdlib-only registry of counters and
+// exact-until-overflow histograms (reusing the obs log₂ histogram)
+// that produces deterministic snapshots.
 //
 // The determinism rule mirrors the rest of the repo's artifact
 // discipline (internal/lint enforces it): every wall-clock read goes
 // through the registry's injectable clock, and a snapshot's rows come
-// back sorted by name. A campaign that reads the clock only at
-// deterministic points (construction, wave boundaries, snapshot time)
-// therefore serializes to byte-identical artifacts under a fake clock,
-// at any worker count — the property the fleet's capacity artifacts
-// are tested for.
+// back sorted by name. A caller that reads the clock only at
+// deterministic points therefore gets byte-identical snapshots under a
+// fake clock, at any worker count.
 //
 // The package deliberately has no label/dimension machinery: a metric
-// is a flat name ("fleet.leases", "fleet.worker.w3.schedules"), and
+// is a flat name ("sweep.cells", "stress.w3.acquire_ns"), and
 // per-entity metrics embed the entity in the name. Snapshots sort, so
 // naming alone keeps output stable.
 package telemetry
@@ -32,7 +31,7 @@ import (
 // reads time through the registry, so injecting a fake here makes the
 // whole telemetry surface deterministic.
 func wallClock() time.Time {
-	//fetchphilint:ignore determinism telemetry's default clock; tests and the capacity-artifact determinism suite inject fakes
+	//fetchphilint:ignore determinism telemetry's default clock; tests inject fakes
 	return time.Now()
 }
 
@@ -49,15 +48,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a set-to-current-value metric.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a goroutine-safe wrapper around the obs log₂ histogram:
 // exact quantiles until the sample reservoir overflows, bucket bounds
@@ -85,15 +75,14 @@ func (h *Histogram) Snapshot() obs.Histogram {
 }
 
 // Registry holds a process's metrics and the clock they are measured
-// against. Metrics are created on first use and live forever (the
-// fleet's name space is small and bounded by worker count).
+// against. Metrics are created on first use and live forever (every
+// user's name space is small and bounded by worker count).
 type Registry struct {
 	now   func() time.Time
 	start time.Time
 
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -110,7 +99,6 @@ func New(now func() time.Time) *Registry {
 		now:      now,
 		start:    now(),
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -131,18 +119,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -174,12 +150,6 @@ type CounterValue struct {
 	Value int64  `json:"value"`
 }
 
-// GaugeValue is one gauge row of a snapshot.
-type GaugeValue struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
 // HistogramValue is one histogram row of a snapshot.
 type HistogramValue struct {
 	Name string        `json:"name"`
@@ -189,14 +159,12 @@ type HistogramValue struct {
 // Snapshot is a point-in-time copy of a registry: every metric, sorted
 // by name, plus the elapsed time since the registry was created (read
 // through the injectable clock). Two registries fed identical events
-// under identical clocks marshal to identical bytes — the property the
-// /v1/metrics endpoint and the capacity artifacts inherit.
+// under identical clocks marshal to identical bytes.
 type Snapshot struct {
 	// ElapsedUS is microseconds since the registry was created, per the
 	// registry clock.
 	ElapsedUS  int64            `json:"elapsed_us"`
 	Counters   []CounterValue   `json:"counters,omitempty"`
-	Gauges     []GaugeValue     `json:"gauges,omitempty"`
 	Histograms []HistogramValue `json:"histograms,omitempty"`
 }
 
@@ -204,8 +172,8 @@ type Snapshot struct {
 //
 // Invariant: each metric is read atomically, and every counter is read
 // before any histogram, so a histogram that a writer observes into
-// before it bumps a counter keeps Count ≥ that counter (the fleet's
-// wave_us histogram against fleet.waves). The snapshot is not a cut
+// before it bumps a counter keeps Count ≥ that counter (a sweep's
+// sweep.cell_us histogram against sweep.cells). The snapshot is not a cut
 // across counters: no order holds between two counters.
 func (r *Registry) Snapshot() Snapshot {
 	elapsed := r.now().Sub(r.start).Microseconds()
@@ -215,14 +183,10 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterValue{Name: name, Value: c.Value()})
 	}
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeValue{Name: name, Value: g.Value()})
-	}
 	for name, h := range r.hists {
 		s.Histograms = append(s.Histograms, HistogramValue{Name: name, Hist: h.Snapshot()})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }
@@ -238,16 +202,6 @@ func (s Snapshot) Counter(name string) int64 {
 	return 0
 }
 
-// Gauge returns the snapshot value of the named gauge (0 when absent).
-func (s Snapshot) Gauge(name string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
-}
-
 // Histogram returns the snapshot of the named histogram (the zero
 // histogram when absent).
 func (s Snapshot) Histogram(name string) obs.Histogram {
@@ -257,13 +211,4 @@ func (s Snapshot) Histogram(name string) obs.Histogram {
 		}
 	}
 	return obs.Histogram{}
-}
-
-// PerSec converts the named counter into a rate over the snapshot's
-// elapsed time (0 when no time has elapsed).
-func (s Snapshot) PerSec(name string) float64 {
-	if s.ElapsedUS <= 0 {
-		return 0
-	}
-	return float64(s.Counter(name)) * 1e6 / float64(s.ElapsedUS)
 }
