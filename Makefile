@@ -47,11 +47,15 @@ test:
 # adds minutes and finds nothing. The live-view tests (snapshots taken
 # while workers run) then repeat under 1, 2 and 4 cores: a snapshot
 # read-order bug can hide on one core count and fail on another.
+# The memsim engine tests (teardown, panics, waves, replay) repeat the
+# same way, because a process coroutine's switches can move between
+# threads; -count=1 because the test cache does not key on GOMAXPROCS.
 race:
 	$(GO) test -race ./internal/nativelock/... ./internal/stress/... ./internal/memsim/... ./internal/harness/... ./internal/obs/... ./internal/telemetry/... ./internal/claims/...
 	$(GO) test -race -run 'TestE10|TestSweep' ./internal/experiments/...
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=5 -run 'Live|Snapshot|Watch' ./internal/stress/ ./internal/telemetry/ ./cmd/lockstress/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -run 'Leak|Panic|Wave|Replay' ./internal/memsim/ || exit 1; \
 	done
 
 # trace-smoke exercises the whole trace pipeline on a real workload:

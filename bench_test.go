@@ -3,7 +3,9 @@
 // report RMRs per critical-section entry (the paper's complexity
 // measure) as a custom metric alongside wall-clock simulation cost;
 // the E9 benches measure real goroutine throughput of the native
-// locks.
+// locks. BenchmarkMemsimStep and BenchmarkExploreSchedule time the
+// simulation engine and the model checker themselves, per simulated
+// step and per explored schedule.
 //
 // Regenerate everything with:
 //
@@ -44,6 +46,54 @@ func benchWorkload(b *testing.B, builder harness.Builder, model memsim.Model, n 
 	b.ReportMetric(mean, "RMR/entry")
 	b.ReportMetric(float64(worst), "worstRMR/entry")
 	b.ReportMetric(entryShare, "entryPhaseShare")
+}
+
+// BenchmarkMemsimStep times the engine's hot path: each iteration is
+// one fixed run of g-dsm on DSM (N=4, 20 entries per process, seeded
+// random schedule), reported per scheduling step.
+func BenchmarkMemsimStep(b *testing.B) {
+	alg, err := experiments.Algorithm("g-dsm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	build := harness.CheckExplorer(alg, memsim.DSM, 4, 20, harness.ExploreOptions{}).Build
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		res := build().Run(memsim.RunConfig{Sched: memsim.NewRandom(1)})
+		if err := res.Err(); err != nil {
+			b.Fatal(err)
+		}
+		steps += res.Steps
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(steps), "allocs/step")
+}
+
+// BenchmarkExploreSchedule times the model checker: each iteration is
+// an exhaustive K=2 check of g-dsm on DSM (N=2, 2 entries per
+// process, one worker), reported per explored schedule.
+func BenchmarkExploreSchedule(b *testing.B) {
+	alg, err := experiments.Algorithm("g-dsm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := harness.CheckExplorer(alg, memsim.DSM, 2, 2, harness.ExploreOptions{Preemptions: 2, Workers: 1})
+	b.ReportAllocs()
+	runs := 0
+	for i := 0; i < b.N; i++ {
+		res := e.Run()
+		if res.Err != nil || !res.Exhausted {
+			b.Fatalf("g-dsm check: %+v", res)
+		}
+		runs += res.Runs
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(runs), "ns/schedule")
 }
 
 // BenchmarkE1_GCC_CC — Lemma 1: G-CC on the CC model stays O(1) as N

@@ -195,29 +195,19 @@ func contains(xs []int, x int) bool {
 	return false
 }
 
-// scheduleOutcome is one schedule's outcome within a wave: its
-// failure (violation, deadlock, step bound, or Check error), if any,
-// and the next-wave schedules it spawns in canonical (step, proc)
-// order — none for failing schedules and for schedules already at the
-// preemption bound.
-type scheduleOutcome struct {
-	err      error
-	children [][]Preemption
-}
-
-// runOne executes one schedule against a fresh machine and, unless the
-// schedule already sits at the preemption bound, derives its children:
-// one new preemption strictly after the current last one, to every
-// alternative runnable process, in (step, proc) order. That ordering —
-// together with waves listing children in parent order — is what makes
-// a wave's index order the canonical (shortest, then lexicographic)
-// order on schedules.
-func (e *Explorer) runOne(sched []Preemption, maxPre int) scheduleOutcome {
+// runOne executes one schedule against a fresh machine and returns
+// its failure (violation, deadlock, step bound, or Check error), if
+// any. When expand is set and the schedule passed, it also derives the
+// schedule's children: one new preemption strictly after the current
+// last one, to every alternative runnable process, in (step, proc)
+// order. That ordering — together with waves listing children in
+// parent order — is what makes a wave's index order the canonical
+// (shortest, then lexicographic) order on schedules.
+func (e *Explorer) runOne(sched []Preemption, expand bool) (children [][]Preemption, err error) {
 	ch := &chooser{preemptions: sched}
 	if n := len(sched); n > 0 {
 		ch.traceFrom = sched[n-1].Step + 1
 	}
-	expand := len(sched) < maxPre
 	if !expand {
 		// The deepest wave is the bulk of the space and generates no
 		// children; skip choice recording entirely there.
@@ -225,12 +215,12 @@ func (e *Explorer) runOne(sched []Preemption, maxPre int) scheduleOutcome {
 	}
 	m := e.Build()
 	r := m.Run(RunConfig{Sched: ch, MaxSteps: e.MaxSteps})
-	wr := scheduleOutcome{err: r.Err()}
-	if wr.err == nil && e.Check != nil {
-		wr.err = e.Check(r)
+	err = r.Err()
+	if err == nil && e.Check != nil {
+		err = e.Check(r)
 	}
-	if wr.err != nil || !expand {
-		return wr
+	if err != nil || !expand {
+		return nil, err
 	}
 	for _, cp := range ch.choices {
 		for _, alt := range cp.runnable {
@@ -240,10 +230,10 @@ func (e *Explorer) runOne(sched []Preemption, maxPre int) scheduleOutcome {
 			child := make([]Preemption, len(sched)+1)
 			copy(child, sched)
 			child[len(sched)] = Preemption{Step: cp.step, Proc: alt}
-			wr.children = append(wr.children, child)
+			children = append(children, child)
 		}
 	}
-	return wr
+	return children, nil
 }
 
 // ResolvedPreemptions returns the literal preemption bound K that the
@@ -328,28 +318,22 @@ func (e *Explorer) Wave(st *ExploreState) (done bool) {
 	if workers < 1 {
 		workers = 1
 	}
-	out := e.runWave(wave, st.Depth, st.Result.Runs, e.ResolvedPreemptions(), workers)
+	fail, next := e.runWave(wave, st.Depth, st.Result.Runs, st.Depth < e.ResolvedPreemptions(), workers)
 	st.Result.Runs += len(wave)
 	st.Result.DepthRuns = append(st.Result.DepthRuns, len(wave))
 	// Canonical merge: the wave is in canonical order and was run to
-	// completion, so the first failing index is the canonically
+	// completion, so its lowest failing index is the canonically
 	// smallest failing schedule no matter which worker ran it — and
 	// any failure in a deeper wave is canonically larger.
-	for i := range out {
-		if out[i].err != nil {
-			st.Result.Err = out[i].err
-			st.Result.FailingSchedule = wave[i]
-			st.Frontier, st.Done = nil, true
-			return true
-		}
+	if fail.at >= 0 {
+		st.Result.Err = fail.err
+		st.Result.FailingSchedule = wave[fail.at]
+		st.Frontier, st.Done = nil, true
+		return true
 	}
 	if truncated {
 		st.Frontier, st.Done = nil, true
 		return true
-	}
-	var next [][]Preemption
-	for i := range out {
-		next = append(next, out[i].children...)
 	}
 	st.Frontier = next
 	st.Depth++

@@ -69,13 +69,39 @@ func (d *frontierDeque) claim(w, batch int) (lo, hi int, ok bool) {
 	return lo, hi, true
 }
 
+// waveFailure is the lowest-indexed failing schedule seen in a wave;
+// at is -1 while there is none.
+type waveFailure struct {
+	at  int
+	err error
+}
+
+func (f *waveFailure) note(i int, err error) {
+	if f.at < 0 || i < f.at {
+		f.at, f.err = i, err
+	}
+}
+
 // runWave executes one wave of schedules — sequentially, or sharded
-// across workers — and returns the per-schedule outcomes indexed like
-// wave.
-func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, workers int) []scheduleOutcome {
-	out := make([]scheduleOutcome, len(wave))
+// across workers — and returns its lowest failing index and, when the
+// wave passed and expand is set, the next wave in canonical order.
+// Each worker keeps only its own lowest failure, so a wave at the
+// preemption bound (expand unset, the bulk of the space) holds
+// O(workers) outcome state; only an expanding wave keeps every
+// schedule's children, indexed like wave, to concatenate in order.
+func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore int, expand bool, workers int) (waveFailure, [][]Preemption) {
+	var children [][][]Preemption
+	if expand {
+		children = make([][][]Preemption, len(wave))
+	}
 	var completed atomic.Int64
-	tick := func() {
+	runAt := func(i int, fail *waveFailure) {
+		kids, err := e.runOne(wave[i], expand)
+		if err != nil {
+			fail.note(i, err)
+		} else if expand {
+			children[i] = kids
+		}
 		if e.Progress == nil || e.ProgressEvery <= 0 {
 			return
 		}
@@ -86,15 +112,33 @@ func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, worke
 	if workers > len(wave) {
 		workers = len(wave)
 	}
+	fail := waveFailure{at: -1}
 	if workers <= 1 {
 		for i := range wave {
-			out[i] = e.runOne(wave[i], maxPre)
-			tick()
+			runAt(i, &fail)
 		}
-		return out
+	} else {
+		for _, f := range runSharded(len(wave), workers, runAt) {
+			if f.at >= 0 {
+				fail.note(f.at, f.err)
+			}
+		}
 	}
+	if fail.at >= 0 || !expand {
+		return fail, nil
+	}
+	var next [][]Preemption
+	for _, kids := range children {
+		next = append(next, kids...)
+	}
+	return fail, next
+}
 
-	deque := newFrontierDeque(len(wave), workers)
+// runSharded runs indices [0, n) across workers goroutines through a
+// frontierDeque and returns each worker's lowest failure.
+func runSharded(n, workers int, runAt func(i int, fail *waveFailure)) []waveFailure {
+	deque := newFrontierDeque(n, workers)
+	fails := make([]waveFailure, workers)
 	var (
 		wg        sync.WaitGroup
 		panicOnce sync.Once
@@ -102,6 +146,7 @@ func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, worke
 	)
 	for w := 0; w < workers; w++ {
 		w := w
+		fails[w].at = -1
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -120,8 +165,7 @@ func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, worke
 					return
 				}
 				for i := lo; i < hi; i++ {
-					out[i] = e.runOne(wave[i], maxPre)
-					tick()
+					runAt(i, &fails[w])
 				}
 			}
 		}()
@@ -130,5 +174,5 @@ func (e *Explorer) runWave(wave [][]Preemption, depth, runsBefore, maxPre, worke
 	if panicked != nil {
 		panic(panicked)
 	}
-	return out
+	return fails
 }

@@ -133,11 +133,11 @@ func TestShardedFailureIsCanonicallySmallest(t *testing.T) {
 	for depth := 0; depth < len(res.DepthRuns); depth++ {
 		var next [][]Preemption
 		for _, sched := range wave {
-			wr := e.runOne(sched, DefaultPreemptions)
-			if wr.err != nil {
+			children, err := e.runOne(sched, len(sched) < DefaultPreemptions)
+			if err != nil {
 				failing = append(failing, sched)
 			}
-			next = append(next, wr.children...)
+			next = append(next, children...)
 		}
 		wave = next
 	}

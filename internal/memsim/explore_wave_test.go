@@ -3,6 +3,7 @@ package memsim
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 // waveBuild is a small always-passing two-process workload with real
@@ -58,6 +59,45 @@ func TestWaveSteppingMatchesRun(t *testing.T) {
 		before := *st
 		if !e.Wave(st) || !reflect.DeepEqual(*st, before) {
 			t.Fatalf("maxruns=%d: Wave changed a done state: %+v", maxRuns, st)
+		}
+	}
+}
+
+// TestWaveFailingScheduleIsMinimumIndex runs a workload whose first
+// preempted wave fails at every index, with the failures finishing in
+// reverse index order: schedule i sleeps longer the smaller i is. A
+// sharded wave therefore completes a high-index failure first, and the
+// explorer must still report index 0 — the canonically smallest
+// schedule — at every Workers value, both when the failing wave is
+// the deepest one (K=1) and when it would have expanded (K=2).
+func TestWaveFailingScheduleIsMinimumIndex(t *testing.T) {
+	const writes = 8
+	build := func() *Machine {
+		m := NewMachine(CC, 2)
+		v := m.NewVar("v", HomeGlobal, 0)
+		m.AddProc("writer", func(p *Proc) {
+			for i := 1; i <= writes; i++ {
+				p.Write(v, Word(i))
+			}
+		})
+		m.AddProc("reader", func(p *Proc) {
+			if x := p.Read(v); x < writes {
+				time.Sleep(time.Duration(writes-x) * 5 * time.Millisecond)
+				p.Fail("read %d before the last write", x)
+			}
+		})
+		return m
+	}
+	want := []Preemption{{Step: 0, Proc: 1}}
+	for _, k := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 4} {
+			res := (&Explorer{Build: build, MaxPreemptions: k, Workers: workers}).Run()
+			if !reflect.DeepEqual(res.FailingSchedule, want) || res.Err == nil || res.Err.Error() != "read 0 before the last write" {
+				t.Fatalf("K=%d workers=%d: failing schedule %v (%v), want %v", k, workers, res.FailingSchedule, res.Err, want)
+			}
+			if res.Runs != writes+2 || !reflect.DeepEqual(res.DepthRuns, []int{1, writes + 1}) {
+				t.Fatalf("K=%d workers=%d: %d runs, depth runs %v", k, workers, res.Runs, res.DepthRuns)
+			}
 		}
 	}
 }

@@ -16,10 +16,13 @@
 //     memory module (or in no process's, for HomeGlobal); an access is
 //     free iff the accessor is the variable's home process.
 //
-// Simulated processes are cooperatively scheduled goroutines. Every
-// Read, Write, RMW and Await re-check is a scheduling point, so a
-// Scheduler fully determines the interleaving; runs are reproducible
-// and can be explored systematically (see Explorer). Busy-waiting is
+// Simulated processes are coroutines (iter.Pull): the engine resumes
+// exactly one process at a time, and the process hands control
+// straight back at its next scheduling point, with no channel
+// operation or trip through the Go scheduler. Every Read, Write, RMW
+// and Await re-check is a scheduling point, so a Scheduler fully
+// determines the interleaving; runs are reproducible and can be
+// explored systematically (see Explorer). Busy-waiting is
 // expressed as condition waits over explicit watch sets, which lets the
 // engine (a) suspend spinners instead of burning steps and (b) charge
 // exactly one RMR per re-check that misses — the same accounting the
@@ -101,7 +104,14 @@ type watchEntry struct {
 
 // variable is the engine-side state of one shared variable.
 type variable struct {
+	// name is the allocation name; for a member of an array or Dict it
+	// is the family's name, and String appends [key]. Formatting is
+	// deferred to the readers of names (hot-variable reports, traces,
+	// deadlock details), so allocating a variable mid-run costs no
+	// string building.
 	name     string
+	key      Word
+	indexed  bool
 	home     int // process id, or HomeGlobal
 	value    Word
 	sharers  bitset // CC: processes holding a valid cached copy
@@ -112,7 +122,8 @@ type variable struct {
 // Machine is one simulated multiprocessor instance. A Machine is built
 // (variables allocated, processes added), run exactly once, and then
 // inspected. It is not safe for concurrent use by multiple host
-// goroutines; the engine coordinates its own process goroutines.
+// goroutines; the engine runs its processes as coroutines, one at a
+// time, on behalf of the goroutine that calls Run.
 type Machine struct {
 	model Model
 	nproc int
@@ -126,7 +137,6 @@ type Machine struct {
 	csEntries  int64
 
 	violation  error
-	running    *Proc       // process currently between resume and report
 	trace      *traceRing  // nil unless EnableTrace was called
 	sinks      []EventSink // observers of every shared-memory operation
 	phaseSinks []PhaseSink // the subset of sinks observing phase transitions
@@ -159,23 +169,42 @@ func (m *Machine) NumProcs() int { return m.nproc }
 // HomeGlobal for a variable remote to everyone. The home is ignored on
 // CC machines (locality there is dynamic).
 func (m *Machine) NewVar(name string, home int, init Word) Var {
-	if home != HomeGlobal && (home < 0 || home >= m.nproc) {
-		panic(fmt.Sprintf("memsim: variable %q: invalid home %d", name, home))
+	return m.newVar(variable{name: name, home: home, value: init})
+}
+
+// newMember allocates element key of the variable family name.
+func (m *Machine) newMember(name string, key Word, home int, init Word) Var {
+	return m.newVar(variable{name: name, key: key, indexed: true, home: home, value: init})
+}
+
+func (m *Machine) newVar(vv variable) Var {
+	if vv.home != HomeGlobal && (vv.home < 0 || vv.home >= m.nproc) {
+		panic(fmt.Sprintf("memsim: variable %q: invalid home %d", vv.String(), vv.home))
 	}
-	m.vars = append(m.vars, &variable{
-		name:    name,
-		home:    home,
-		value:   init,
-		sharers: newBitset(m.nproc),
-	})
+	vv.sharers = newBitset(m.nproc)
+	m.vars = append(m.vars, &vv)
 	return Var{idx: int32(len(m.vars) - 1)}
+}
+
+// String returns the variable's allocation name: name[key] for a
+// member of an array or Dict.
+func (vv *variable) String() string {
+	if !vv.indexed {
+		return vv.name
+	}
+	return fmt.Sprintf("%s[%d]", vv.name, vv.key)
+}
+
+// traced reports whether VAR_TRACE selects vv.
+func (vv *variable) traced() bool {
+	return varTrace == "*" || vv.String() == varTrace
 }
 
 // NewArray allocates n variables name[0..n-1], all with the same home.
 func (m *Machine) NewArray(name string, n, home int, init Word) []Var {
 	vs := make([]Var, n)
 	for i := range vs {
-		vs[i] = m.NewVar(fmt.Sprintf("%s[%d]", name, i), home, init)
+		vs[i] = m.newMember(name, Word(i), home, init)
 	}
 	return vs
 }
@@ -186,7 +215,7 @@ func (m *Machine) NewArray(name string, n, home int, init Word) []Var {
 func (m *Machine) NewPerProcArray(name string, init Word) []Var {
 	vs := make([]Var, m.nproc)
 	for i := range vs {
-		vs[i] = m.NewVar(fmt.Sprintf("%s[%d]", name, i), i, init)
+		vs[i] = m.newMember(name, Word(i), i, init)
 	}
 	return vs
 }
@@ -265,8 +294,8 @@ func (m *Machine) doWrite(p *Proc, v Var, x Word) {
 		rmrsBefore = p.stats.RMRs
 	}
 	m.chargeWrite(p, vv)
-	if varTrace == "*" || (varTrace != "" && vv.name == varTrace) {
-		fmt.Printf("  var[%06d]: p%d writes %s: %d -> %d\n", m.steps, p.id, vv.name, vv.value, x)
+	if varTrace != "" && vv.traced() {
+		fmt.Printf("  var[%06d]: p%d writes %s: %d -> %d\n", m.steps, p.id, vv, vv.value, x)
 	}
 	old := vv.value
 	vv.value = x
@@ -290,8 +319,8 @@ func (m *Machine) doRMW(p *Proc, v Var, f func(Word) Word) Word {
 	if rmrsBefore >= 0 {
 		m.record(p, TraceRMW, vv, old, vv.value, p.stats.RMRs > rmrsBefore)
 	}
-	if varTrace == "*" || (varTrace != "" && vv.name == varTrace) {
-		fmt.Printf("  var[%06d]: p%d rmw %s: %d -> %d\n", m.steps, p.id, vv.name, old, vv.value)
+	if varTrace != "" && vv.traced() {
+		fmt.Printf("  var[%06d]: p%d rmw %s: %d -> %d\n", m.steps, p.id, vv, old, vv.value)
 	}
 	m.wakeWatchers(vv)
 	return old
@@ -363,7 +392,7 @@ func (m *Machine) HotVars(k int) []VarRMR {
 	out := make([]VarRMR, 0, len(m.vars))
 	for _, vv := range m.vars[1:] {
 		if vv.rmrs > 0 {
-			out = append(out, VarRMR{Name: vv.name, RMRs: vv.rmrs})
+			out = append(out, VarRMR{Name: vv.String(), RMRs: vv.rmrs})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

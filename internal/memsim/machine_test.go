@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -333,6 +334,41 @@ func TestDictAllocatesPerKey(t *testing.T) {
 	}
 }
 
+// TestFamilyMemberNames pins the names of array and Dict members,
+// which are formatted only when read: hot-variable rows, trace events
+// and deadlock details must all say name[key].
+func TestFamilyMemberNames(t *testing.T) {
+	m := NewMachine(DSM, 2)
+	arr := m.NewArray("arr", 2, HomeGlobal, 0)
+	spin := m.NewPerProcArray("spin", 0)
+	d := m.NewDict("sig", HomeGlobal, 0)
+	m.EnableTrace(16)
+	m.AddProc("p0", func(p *Proc) {
+		p.Write(arr[1], 1)
+		p.AwaitTrue(d.At(-3))
+	})
+	m.AddProc("p1", func(p *Proc) {
+		p.Read(spin[0])
+		p.AwaitTrue(spin[1])
+	})
+	res := m.Run(RunConfig{Sched: RoundRobin{}})
+	want := "memsim: deadlock after 6 steps; p0 awaits [sig[-3]]; p1 awaits [spin[1]]"
+	if err := res.Err(); err == nil || err.Error() != want {
+		t.Fatalf("Err() = %v, want %q", err, want)
+	}
+	hot := m.HotVars(0)
+	if len(hot) != 3 || hot[0].Name != "arr[1]" || hot[1].Name != "sig[-3]" || hot[2].Name != "spin[0]" {
+		t.Fatalf("HotVars = %+v", hot)
+	}
+	var names []string
+	for _, ev := range m.Trace() {
+		names = append(names, ev.Var)
+	}
+	if got := strings.Join(names, " "); got != "arr[1] spin[0] sig[-3] spin[1]" {
+		t.Fatalf("trace names %q", got)
+	}
+}
+
 func TestValueInspection(t *testing.T) {
 	m := NewMachine(CC, 1)
 	v := m.NewVar("v", HomeGlobal, 3)
@@ -357,27 +393,31 @@ func (s scriptSched) Pick(step int64, runnable []int, _ int) int {
 }
 
 func TestBitset(t *testing.T) {
-	b := newBitset(130)
-	if b.has(0) || b.has(129) {
-		t.Fatal("fresh bitset non-empty")
-	}
-	b.add(0)
-	b.add(129)
-	b.add(129) // idempotent
-	if !b.has(0) || !b.has(129) || b.has(64) {
-		t.Fatal("membership wrong after add")
-	}
-	if b.hasOnly(0) {
-		t.Fatal("hasOnly true with two members")
-	}
-	b.clear()
-	b.add(64)
-	if !b.hasOnly(64) {
-		t.Fatal("hasOnly false for singleton")
-	}
-	b.clear()
-	if b.has(64) || b.count != 0 {
-		t.Fatal("clear failed")
+	// 64 ids fit the inline word; 130 spill into overflow words.
+	for _, n := range []int{64, 130} {
+		b := newBitset(n)
+		top := n - 1
+		if b.has(0) || b.has(top) {
+			t.Fatalf("n=%d: fresh bitset non-empty", n)
+		}
+		b.add(0)
+		b.add(top)
+		b.add(top) // idempotent
+		if !b.has(0) || !b.has(top) || b.has(top-1) || b.count != 2 {
+			t.Fatalf("n=%d: membership wrong after add", n)
+		}
+		if b.hasOnly(0) {
+			t.Fatalf("n=%d: hasOnly true with two members", n)
+		}
+		b.clear()
+		b.add(top - 1)
+		if !b.hasOnly(top - 1) {
+			t.Fatalf("n=%d: hasOnly false for singleton", n)
+		}
+		b.clear()
+		if b.has(top-1) || b.count != 0 {
+			t.Fatalf("n=%d: clear failed", n)
+		}
 	}
 }
 
@@ -480,13 +520,27 @@ func TestHotVarsAttribution(t *testing.T) {
 	}
 }
 
+// panickingMachine has one process suspended in an await while the
+// other panics with a value that is not an engine sentinel.
+func panickingMachine(value any) *Machine {
+	m := NewMachine(CC, 2)
+	v := m.NewVar("v", HomeGlobal, 0)
+	m.AddProc("waiter", func(p *Proc) { p.AwaitTrue(v) })
+	m.AddProc("boom", func(p *Proc) {
+		p.Read(v)
+		panic(value)
+	})
+	return m
+}
+
 func TestNoGoroutineLeaks(t *testing.T) {
-	// The engine must fully unwind its process goroutines on every
-	// exit path: completion, violation, deadlock, and timeout.
+	// The engine must fully unwind its processes on every exit path:
+	// completion, violation, deadlock, timeout, a panicking body, and
+	// a killed body whose deferred function tries another memory op.
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 300; i++ {
-		switch i % 4 {
+		switch i % 6 {
 		case 0: // completion
 			m := NewMachine(CC, 3)
 			v := m.NewVar("v", HomeGlobal, 0)
@@ -515,6 +569,20 @@ func TestNoGoroutineLeaks(t *testing.T) {
 				}
 			})
 			m.Run(RunConfig{Sched: RoundRobin{}, MaxSteps: 20})
+		case 4: // panicking body, recovered by Run's caller
+			func() {
+				defer func() { _ = recover() }()
+				panickingMachine("boom").Run(RunConfig{Sched: RoundRobin{}})
+			}()
+		case 5: // killed body with a memory op in a deferred function
+			m := NewMachine(CC, 2)
+			never := m.NewVar("never", HomeGlobal, 0)
+			m.AddProc("a", func(p *Proc) {
+				defer p.Write(never, 1)
+				p.AwaitTrue(never)
+			})
+			m.AddProc("b", func(p *Proc) { p.AwaitTrue(never) })
+			m.Run(RunConfig{Sched: RoundRobin{}})
 		}
 	}
 	for wait := 0; wait < 100; wait++ {
@@ -525,4 +593,40 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestBodyPanicReachesRunCaller checks that a panic raised inside a
+// process body surfaces from Run on the caller's goroutine, with its
+// value intact and every other process unwound, so the caller can
+// recover it — directly and through the explorer, sequential or
+// sharded.
+func TestBodyPanicReachesRunCaller(t *testing.T) {
+	m := panickingMachine("boom")
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the body's panic value", r)
+			}
+		}()
+		m.Run(RunConfig{Sched: RoundRobin{}})
+		t.Fatal("Run returned instead of panicking")
+	}()
+	for _, p := range m.procs {
+		if p.status != statusDone {
+			t.Fatalf("process %d left in status %d after the panic", p.id, p.status)
+		}
+	}
+
+	for _, workers := range []int{1, 2} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("workers=%d: recovered %v, want the body's panic value", workers, r)
+				}
+			}()
+			build := func() *Machine { return panickingMachine("boom") }
+			(&Explorer{Build: build, MaxPreemptions: 1, Workers: workers}).Run()
+			t.Fatalf("workers=%d: explorer returned instead of panicking", workers)
+		}()
+	}
 }

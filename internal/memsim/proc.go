@@ -24,24 +24,18 @@ const (
 	statusDone
 )
 
-// reportKind is what a process goroutine tells the engine when it
-// hands control back.
+// reportKind is what a process coroutine yields to the engine when it
+// hands control back. A body that has returned (or failed with a
+// violation) yields nothing more: the coroutine's next reports !ok.
 type reportKind int
 
 const (
 	reportStep    reportKind = iota // at a scheduling point, ready for next op
 	reportBlocked                   // await condition false; now waiting
-	reportDone                      // body returned
-	// reportViolation: an assertion failed inside the process body and
-	// the run is being torn down. This is about the RUN, not the
-	// process's current request — "abort" in this package's API always
-	// means abort-the-request (AbortPoint, AwaitAbortable,
-	// AbortPassage), never a detected violation.
-	reportViolation
 )
 
-// killed is the panic sentinel used to unwind a process goroutine when
-// the engine tears a run down.
+// killed is the panic sentinel used to unwind a process body when the
+// engine tears a run down.
 type killed struct{}
 
 // violation is the panic sentinel carrying an assertion failure out of
@@ -96,8 +90,13 @@ type Proc struct {
 	name string
 	body func(*Proc)
 
-	resume chan bool       // engine → proc; true = killed
-	report chan reportKind // proc → engine
+	// The body runs as a coroutine (see coro.go): suspend hands
+	// control back to the engine from inside the body, and returns
+	// false once the engine is tearing the run down; next resumes the
+	// body, and stop unwinds it.
+	suspend func(reportKind) bool
+	next    func() (reportKind, bool)
+	stop    func()
 
 	status     procStatus
 	watch      []Var
@@ -146,15 +145,13 @@ func (m *Machine) AddProc(name string, body func(*Proc)) *Proc {
 		id:      len(m.procs),
 		name:    name,
 		body:    body,
-		resume:  make(chan bool),
-		report:  make(chan reportKind),
 		passage: -1,
 	}
 	m.procs = append(m.procs, p)
 	return p
 }
 
-// yield hands control to the engine and blocks until resumed. It
+// yield hands control to the engine and returns when resumed. It
 // panics with the kill sentinel when the engine is tearing down.
 //
 // Every resumption inside an entry section is one abort-schedule
@@ -162,8 +159,7 @@ func (m *Machine) AddProc(name string, body func(*Proc)) *Proc {
 // synchronously within the process's own execution, which is what
 // keeps abort delivery a pure function of the schedule.
 func (p *Proc) yield(kind reportKind) {
-	p.report <- kind
-	if <-p.resume {
+	if !p.suspend(kind) {
 		panic(killed{})
 	}
 	p.stats.Steps++

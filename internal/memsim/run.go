@@ -142,6 +142,10 @@ func (r Result) MaxAbortResolveSteps() int64 {
 
 // Run executes the machine to completion (or violation, deadlock, or
 // step bound) and returns the result. A machine can be run only once.
+//
+// A panic raised by a process body (other than the engine's own
+// violation and kill sentinels) or by the scheduler reaches Run's
+// caller, after every process still suspended has been unwound.
 func (m *Machine) Run(cfg RunConfig) Result {
 	if cfg.Sched == nil {
 		cfg.Sched = NewRandom(1)
@@ -154,11 +158,9 @@ func (m *Machine) Run(cfg RunConfig) Result {
 	}
 	m.distributeAbortPoints()
 
+	defer m.stopAll()
 	for _, p := range m.procs {
-		go p.run()
-	}
-	for _, p := range m.procs {
-		m.handleReport(p, <-p.report)
+		p.start()
 	}
 
 	last := -1
@@ -189,9 +191,7 @@ func (m *Machine) Run(cfg RunConfig) Result {
 		}
 		m.steps++
 		last = id
-		p := m.procs[id]
-		p.resume <- false
-		m.handleReport(p, <-p.report)
+		m.procs[id].resume()
 	}
 
 	res := Result{
@@ -200,23 +200,22 @@ func (m *Machine) Run(cfg RunConfig) Result {
 		Steps:     m.steps,
 		CSEntries: m.csEntries,
 	}
-	// Tear down: unwind every process goroutine still alive.
-	for _, p := range m.procs {
-		if p.status != statusDone {
-			if p.status == statusWaiting && res.Violation == nil && !timedOut {
-				res.WaitingProcs = append(res.WaitingProcs, p.id)
-				names := make([]string, len(p.watch))
-				for i, v := range p.watch {
-					names[i] = m.varAt(v).name
-				}
-				res.WaitingDetail = append(res.WaitingDetail,
-					fmt.Sprintf("p%d awaits %v", p.id, names))
+	if res.Violation == nil && !timedOut {
+		for _, p := range m.procs {
+			if p.status != statusWaiting {
+				continue
 			}
-			p.resume <- true
-			<-p.report
-			p.status = statusDone
+			res.WaitingProcs = append(res.WaitingProcs, p.id)
+			names := make([]string, len(p.watch))
+			for i, v := range p.watch {
+				names[i] = m.varAt(v).String()
+			}
+			res.WaitingDetail = append(res.WaitingDetail,
+				fmt.Sprintf("p%d awaits %v", p.id, names))
 		}
 	}
+	// Unwind before reading stats: a killed body's deferred code runs.
+	m.stopAll()
 	res.Deadlocked = len(res.WaitingProcs) > 0
 	res.Completed = res.Violation == nil && !res.Deadlocked && !timedOut
 	res.Procs = make([]ProcStats, len(m.procs))
@@ -226,44 +225,53 @@ func (m *Machine) Run(cfg RunConfig) Result {
 	return res
 }
 
-// handleReport updates the engine-side status after a process hands
-// control back.
-func (m *Machine) handleReport(p *Proc, kind reportKind) {
-	switch kind {
-	case reportStep:
-		p.status = statusReady
-	case reportBlocked:
+// resume runs p's body up to its next scheduling point and records
+// what it reported there.
+func (p *Proc) resume() {
+	kind, ok := p.next()
+	switch {
+	case !ok:
+		p.status = statusDone
+	case kind == reportBlocked:
 		p.status = statusWaiting
-	case reportDone, reportViolation:
+	default:
+		p.status = statusReady
+	}
+}
+
+// stopAll unwinds every process body still suspended at a scheduling
+// point. Stopping a finished (or never started) body is a no-op, so it
+// is safe on every exit path of Run, a panicking one included.
+func (m *Machine) stopAll() {
+	for _, p := range m.procs {
+		if p.stop != nil {
+			p.stop()
+		}
 		p.status = statusDone
 	}
 }
 
-// run is the process goroutine wrapper: it executes the body and
-// translates returns, kills, and violations into final reports.
+// run is the coroutine body of a process: it executes the body and
+// translates kills and violations into a plain return. Any other panic
+// propagates to the engine, which resumed the body.
 //
-// The wrapper performs a startup handshake before calling the body, so
-// that ALL body code — including any preamble before the first memory
-// operation, which may lazily allocate variables — executes inside the
-// process's exclusive scheduling windows. Without it, preambles of
-// different processes would run concurrently.
-func (p *Proc) run() {
+// The wrapper yields once before calling the body, so that ALL body
+// code — including any preamble before the first memory operation,
+// which may lazily allocate variables — executes inside the process's
+// exclusive scheduling windows, in the order the scheduler picks.
+func (p *Proc) run(yield func(reportKind) bool) {
+	p.suspend = yield
 	defer func() {
 		switch r := recover().(type) {
-		case nil:
-			p.report <- reportDone
-		case killed:
-			p.report <- reportDone
+		case nil, killed:
 		case violation:
 			p.m.fail(r.err)
-			p.report <- reportViolation
 		default:
 			panic(r)
 		}
 	}()
-	p.report <- reportStep
-	if <-p.resume {
-		panic(killed{})
+	if !yield(reportStep) {
+		return
 	}
 	p.body(p)
 }
