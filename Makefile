@@ -6,9 +6,10 @@ GO ?= go
 # analysis suite, gated against the checked-in lint baseline), build,
 # tests, the race detector over the genuinely concurrent packages, the
 # trace-pipeline smoke test, the sharded and resumable model-checker
-# smoke, the native-stress smoke, the abortable-pipeline smoke, and the
-# claims-conformance gate + smoke.
-ci: lint-gate build test race trace-smoke explore-smoke stress-smoke abort-smoke claims claims-smoke
+# smoke, the native-stress smoke, the abortable-pipeline smoke, the
+# claims-conformance gate + smoke, and the RMR regression gate against
+# the checked-in bench/baseline artifacts.
+ci: lint-gate build test race trace-smoke explore-smoke stress-smoke abort-smoke claims claims-smoke gate
 
 # lint runs go vet plus cmd/fetchphilint — the per-package analyzers
 # (awaitwatch, memsimpurity, determinism, phasebalance), the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"fetchphi/internal/localspin"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/phi"
 	"fetchphi/internal/twoproc"
@@ -31,20 +32,52 @@ import (
 // passage, completed or withdrawn, costs O(1) amortized RMR on both
 // CC and DSM machines.
 
-// AbortableLock is the abortable counterpart of the Algorithm surface:
-// AcquireAbortable returns false if the entry section observed a
-// pending abort request (delivered by the memsim abort schedule) and
-// withdrew — the caller must then finish the passage with
-// memsim.Proc.AbortPassage, not Release. A request that loses the race
-// with acquisition lapses: AcquireAbortable returns true and the
-// passage completes normally. Acquire/Release retain their
-// non-abortable contract, so every AbortableLock is also a valid
-// harness Algorithm and runs the standard conformance suite unchanged.
-type AbortableLock interface {
-	Name() string
-	Acquire(p *memsim.Proc)
-	Release(p *memsim.Proc)
-	AcquireAbortable(p *memsim.Proc) bool
+// markerRelay is one family of relayed waits: a waiter on value v
+// spins at Sec. 3 site siteKey(v) until signal[v] is established, and
+// a waiter that withdraws leaves mark[v] naming the value its own
+// successor waits on. TokenAbortable has one family, GDSMAbortable one
+// per queue.
+type markerRelay struct {
+	sites        *localspin.SiteSet
+	signal, mark *memsim.Dict
+	siteKey      func(v Word) Word
+}
+
+// wait blocks until signal[prev] is established and reports false, or
+// withdraws on an abort request and reports true, leaving the marker
+// that sends the baton on to self.
+func (r markerRelay) wait(p *memsim.Proc, prev, self Word) (withdrew bool) {
+	sig := r.signal.At(prev)
+	return r.sites.At(r.siteKey(prev)).WaitAbortable(p,
+		func(read func(memsim.Var) Word) bool { return read(sig) != 0 },
+		func() { p.Write(r.mark.At(prev), self) },
+	)
+}
+
+// release establishes signal[v]; if the waiter on v withdrew (marker
+// present), the signal is skipped — it would never be consumed — and
+// the baton follows the marker to the withdrawn waiter's own value,
+// until a live waiter or the end of the queue. Marker reads and signal
+// establishment happen inside the site's Signal critical section,
+// mutually exclusive with the withdrawer's marker write, so exactly
+// one of the two sides observes the other.
+func (r markerRelay) release(p *memsim.Proc, v Word) {
+	for {
+		var marker Word
+		sig := r.signal.At(v)
+		r.sites.At(r.siteKey(v)).Signal(p, func() {
+			marker = p.Read(r.mark.At(v))
+			if marker != 0 {
+				p.Write(r.mark.At(v), 0)
+			} else {
+				p.Write(sig, 1)
+			}
+		})
+		if marker == 0 {
+			return
+		}
+		v = marker
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -69,13 +102,10 @@ type AbortableLock interface {
 //
 //fetchphilint:rmr O(1) amortized: relay hops are prepaid one-for-one by aborts
 type TokenAbortable struct {
-	m     *memsim.Machine
 	nproc int
 
-	tail  memsim.Var   // last token swapped in; 0 = never used
-	grant *memsim.Dict // grant[t] != 0: token t's holder has passed the baton
-	mark  *memsim.Dict // mark[t]: waiter on grant[t] withdrew; relay to this token
-	sites *SiteSet     // one Sec. 3 site per awaited token
+	tail  memsim.Var  // last token swapped in; 0 = never used
+	relay markerRelay // Grant[t], Mark[t] and one site per awaited token
 
 	rounds []Word // private per-process token counters
 	held   []Word // private: token of each process's open acquisition
@@ -85,12 +115,14 @@ type TokenAbortable struct {
 func NewTokenAbortable(m *memsim.Machine) *TokenAbortable {
 	n := m.NumProcs()
 	return &TokenAbortable{
-		m:      m,
-		nproc:  n,
-		tail:   m.NewVar("token.Tail", memsim.HomeGlobal, 0),
-		grant:  m.NewDict("token.Grant", memsim.HomeGlobal, 0),
-		mark:   m.NewDict("token.Mark", memsim.HomeGlobal, 0),
-		sites:  NewSiteSet(m, "token.W"),
+		nproc: n,
+		tail:  m.NewVar("token.Tail", memsim.HomeGlobal, 0),
+		relay: markerRelay{
+			signal:  m.NewDict("token.Grant", memsim.HomeGlobal, 0),
+			mark:    m.NewDict("token.Mark", memsim.HomeGlobal, 0),
+			sites:   localspin.NewSiteSet(m, "token.W"),
+			siteKey: func(t Word) Word { return t },
+		},
 		rounds: make([]Word, n),
 		held:   make([]Word, n),
 	}
@@ -120,14 +152,8 @@ func (l *TokenAbortable) AcquireAbortable(p *memsim.Proc) bool {
 	}
 	t := l.token(p)
 	prev := p.FetchPhi(l.tail, phi.FetchAndStore{}, t)
-	if prev != 0 {
-		sig := l.grant.At(prev)
-		if l.sites.At(prev).WaitAbortable(p,
-			func(read func(memsim.Var) Word) bool { return read(sig) != 0 },
-			func() { p.Write(l.mark.At(prev), t) },
-		) {
-			return false
-		}
+	if prev != 0 && l.relay.wait(p, prev, t) {
+		return false
 	}
 	l.held[p.ID()] = t
 	return true
@@ -136,33 +162,7 @@ func (l *TokenAbortable) AcquireAbortable(p *memsim.Proc) bool {
 // Release implements the exit section: establish the grant for our own
 // token, relaying across markers left by withdrawn successors.
 func (l *TokenAbortable) Release(p *memsim.Proc) {
-	relayGrants(p, l.sites, l.grant, l.mark, l.held[p.ID()])
-}
-
-// relayGrants establishes the grant for token k; if the waiter on k
-// withdrew (marker present), the grant is skipped — it would never be
-// consumed — and the baton follows the marker to the withdrawn
-// waiter's own token. Marker reads and grant establishment happen
-// inside the site's Signal critical section, mutually exclusive with
-// the withdrawer's marker write, so exactly one of the two sides
-// observes the other.
-func relayGrants(p *memsim.Proc, sites *SiteSet, grant, mark *memsim.Dict, k Word) {
-	for {
-		var marker Word
-		sig := grant.At(k)
-		sites.At(k).Signal(p, func() {
-			marker = p.Read(mark.At(k))
-			if marker != 0 {
-				p.Write(mark.At(k), 0)
-			} else {
-				p.Write(sig, 1)
-			}
-		})
-		if marker == 0 {
-			return
-		}
-		k = marker
-	}
+	l.relay.release(p, l.held[p.ID()])
 }
 
 // ---------------------------------------------------------------------
@@ -187,10 +187,11 @@ func relayGrants(p *memsim.Proc, sites *SiteSet, grant, mark *memsim.Dict, k Wor
 //     relay — before going inactive. Position operations need no lock:
 //     they are serialized by the baton itself.
 //
-// The exit section always uses the delegation handshake (the
-// noExitWait extension), so neither release nor withdrawal ever blocks
-// on another process's progress — which is what keeps withdrawal
-// wait-free and passages O(1) amortized RMR.
+// Everything else is G-DSM's: the exit section is GDSM.exit with the
+// delegation handshake (the no-exit-wait extension) always on, so neither
+// release nor withdrawal ever blocks on another process's progress —
+// which is what keeps withdrawal wait-free and passages O(1) amortized
+// RMR.
 //
 // Withdrawn requests make fetch-and-φ values outlive the 2N-invocation
 // window the rank analysis of Theorem 1 assumes, so the construction
@@ -201,24 +202,8 @@ func relayGrants(p *memsim.Proc, sites *SiteSet, grant, mark *memsim.Dict, k Wor
 //
 //fetchphilint:rmr O(1) amortized: Theorem 1 plus marker relays prepaid by aborts
 type GDSMAbortable struct {
-	m    *memsim.Machine
-	prim phi.Primitive
-	n    int
-
-	currentQueue memsim.Var
-	tail         [2]memsim.Var
-	position     [2]memsim.Var
-	signal       [2]*memsim.Dict
-	mark         [2]*memsim.Dict
-	active       []memsim.Var
-	queueID      []memsim.Var
-	delegate     []memsim.Var
-	two          *twoproc.Mutex
-
-	procSites *SiteSet // Waiter1 sites, keyed by process id
-	queueSite *SiteSet // Waiter2 sites, keyed by (queue, value)
-
-	st []gccState
+	gdsm *GDSM
+	mark [2]*memsim.Dict // Mark[j][v]: the waiter on Signal[j][v] withdrew; relay to this value
 }
 
 // NewGDSMAbortable builds an instance for m's N processes on top of
@@ -230,213 +215,96 @@ func NewGDSMAbortable(m *memsim.Machine, prim phi.Primitive) *GDSMAbortable {
 	}
 	n := m.NumProcs()
 	name := "gdsm-abort"
-	g := &GDSMAbortable{
-		m:            m,
-		prim:         prim,
-		n:            n,
-		currentQueue: m.NewVar(name+".CurrentQueue", memsim.HomeGlobal, 0),
-		tail: [2]memsim.Var{
-			m.NewVar(name+".Tail[0]", memsim.HomeGlobal, phi.Bottom),
-			m.NewVar(name+".Tail[1]", memsim.HomeGlobal, phi.Bottom),
-		},
-		position: [2]memsim.Var{
-			m.NewVar(name+".Position[0]", memsim.HomeGlobal, 0),
-			m.NewVar(name+".Position[1]", memsim.HomeGlobal, 0),
-		},
-		signal: [2]*memsim.Dict{
-			m.NewDict(name+".Signal[0]", memsim.HomeGlobal, 0),
-			m.NewDict(name+".Signal[1]", memsim.HomeGlobal, 0),
+	c := newQueueCore(m, prim, n, name, "abortable G-DSM")
+	delegate := m.NewArray(name+".Delegate", n, memsim.HomeGlobal, 0)
+	c.two = twoproc.New(m, name+".two")
+	return &GDSMAbortable{
+		gdsm: &GDSM{
+			core:      c,
+			procSites: localspin.NewSiteSet(m, name+".W1"),
+			queueSite: localspin.NewSiteSet(m, name+".W2"),
+			delegate:  delegate,
 		},
 		mark: [2]*memsim.Dict{
 			m.NewDict(name+".Mark[0]", memsim.HomeGlobal, 0),
 			m.NewDict(name+".Mark[1]", memsim.HomeGlobal, 0),
 		},
-		active:    m.NewArray(name+".Active", n, memsim.HomeGlobal, 0),
-		queueID:   m.NewArray(name+".QueueId", n, memsim.HomeGlobal, qidBottom),
-		delegate:  m.NewArray(name+".Delegate", n, memsim.HomeGlobal, 0),
-		two:       twoproc.New(m, name+".two"),
-		procSites: NewSiteSet(m, name+".W1"),
-		queueSite: NewSiteSet(m, name+".W2"),
-		st:        make([]gccState, n),
 	}
-	for s := 0; s < n; s++ {
-		g.st[s].inv = phi.NewInvoker(prim, s)
+}
+
+// relay returns queue idx's marker relay: its Signal and Mark families
+// over G-DSM's queue sites.
+func (a *GDSMAbortable) relay(idx int) markerRelay {
+	return markerRelay{
+		sites:   a.gdsm.queueSite,
+		signal:  a.gdsm.core.signal[idx],
+		mark:    a.mark[idx],
+		siteKey: func(v Word) Word { return queueKey(idx, v) },
 	}
-	return g
 }
 
 // Name implements harness.Algorithm.
-func (g *GDSMAbortable) Name() string { return "gdsm-abortable/" + g.prim.Name() }
+func (a *GDSMAbortable) Name() string { return "gdsm-abortable/" + a.gdsm.core.prim.Name() }
 
 // Acquire implements the non-abortable entry section.
-func (g *GDSMAbortable) Acquire(p *memsim.Proc) {
-	if !g.AcquireAbortable(p) {
-		p.Fail("core: %s withdrew with no abort scheduled", g.Name())
+func (a *GDSMAbortable) Acquire(p *memsim.Proc) {
+	if !a.AcquireAbortable(p) {
+		p.Fail("core: %s withdrew with no abort scheduled", a.Name())
 	}
 }
 
 // AcquireAbortable implements the abortable entry section.
-func (g *GDSMAbortable) AcquireAbortable(p *memsim.Proc) bool {
-	st := &g.st[p.ID()]
-	me := p.ID()
-
-	p.Write(g.queueID[me], qidBottom)  // 1
-	p.Write(g.active[me], 1)           // 2
-	idx := int(p.Read(g.currentQueue)) // 3
-	g.signalSelfSite(p, me, func() {
-		p.Write(g.queueID[me], qidQueue0+Word(idx)) // 5
-	})
+func (a *GDSMAbortable) AcquireAbortable(p *memsim.Proc) bool {
+	c, me := a.gdsm.core, p.ID()
+	idx := a.gdsm.announce(p, me, func(idx int, self Word) { a.relay(idx).release(p, self) }) // 1–8
 	if p.AbortRequested() {
-		// Not yet enqueued: withdraw by going inactive. The self-site
-		// signal both releases any exit-section waiter on this slot and
-		// drains a delegation registered in the meantime.
-		g.signalSelfSite(p, me, func() {
-			p.Write(g.active[me], 0)
-		})
+		// Not yet enqueued: withdraw by going inactive.
+		a.withdraw(p, me)
 		return false
 	}
-	input := st.inv.UpdateInput()                  // 11
-	prev := p.FetchPhi(g.tail[idx], g.prim, input) // 9
-	self := g.prim.Apply(prev, input)              // 10
-	st.idx, st.self = idx, self
-	if prev != phi.Bottom { // 12
-		sig := g.signal[idx].At(prev)
-		if g.queueSite.At(queueKey(idx, prev)).WaitAbortable(p,
-			func(read func(memsim.Var) Word) bool { return read(sig) != 0 },
-			func() {
-				// Our node is skipped: tell the baton where our
-				// successor waits.
-				p.Write(g.mark[idx].At(prev), self)
-			},
-		) {
+	if prev := c.enqueue(p, me, idx); prev != phi.Bottom { // 9–12
+		if a.relay(idx).wait(p, prev, c.st[me].self) {
 			// Withdrawn without the baton: the node is dead, the relay
 			// will step over it; nothing to unwind but our activity.
-			g.signalSelfSite(p, me, func() {
-				p.Write(g.active[me], 0)
-			})
+			a.withdraw(p, me)
 			return false
 		}
-		p.Write(sig, 0) // 21
+		p.Write(c.signal[idx].At(prev), 0) // 21
 	}
-	if !g.two.AcquireAbortable(p, idx) { // 22
+	if !c.two.AcquireAbortable(p, idx) { // 22
 		// Withdrawn holding the baton: the inner acquisition was
 		// abandoned (its rival, if any, was released by the
 		// abandonment), but the queue still owes its successor a
 		// signal and its generation a position step. Run the full
 		// exit-section duties, minus the two-process release we never
-		// acquired.
-		g.exitDuties(p, me, idx, st.self)
+		// acquired; only the queue's baton holder touches its
+		// position, so the step needs no lock.
+		a.exit(p, me, c.nextPosition(p, me))
 		return false
 	}
 	return true
 }
 
 // Release implements the exit section.
-func (g *GDSMAbortable) Release(p *memsim.Proc) {
-	st := &g.st[p.ID()]
-	idx := st.idx
-	pos := p.Read(g.position[idx])  // 23
-	p.Write(g.position[idx], pos+1) // 24
-	g.two.Release(p, idx)           // 25
-	g.finishExit(p, p.ID(), idx, st.self, pos)
+func (a *GDSMAbortable) Release(p *memsim.Proc) {
+	c := a.gdsm.core
+	pos := c.nextPosition(p, p.ID())   // 23–24
+	c.two.Release(p, c.st[p.ID()].idx) // 25
+	a.exit(p, p.ID(), pos)
 }
 
-// exitDuties performs the baton holder's exit-section obligations for
-// a withdrawn request: the position read/increment is safe without the
-// two-process lock because only the queue's baton holder touches its
-// queue's position.
-func (g *GDSMAbortable) exitDuties(p *memsim.Proc, me, idx int, self Word) {
-	pos := p.Read(g.position[idx])
-	p.Write(g.position[idx], pos+1)
-	g.finishExit(p, me, idx, self, pos)
+// exit is G-DSM's exit section after the position step, with the
+// successor signal relayed past withdrawn waiters.
+func (a *GDSMAbortable) exit(p *memsim.Proc, me int, pos Word) {
+	a.gdsm.exit(p, me, pos, func(idx int, self Word) { a.relay(idx).release(p, self) })
 }
 
-// finishExit is the tail of the exit section shared by release and
-// baton-holding withdrawal: position sweep (always by delegation, so
-// it never blocks), queue exchange, successor relay, deactivation.
-func (g *GDSMAbortable) finishExit(p *memsim.Proc, me, idx int, self Word, pos Word) {
-	delegated := false
-	switch {
-	case pos < Word(g.n) && pos != Word(me) && p.Read(g.active[pos]) != 0: // 26
-		q := int(pos) // 27
-		g.procSites.At(pos).Visit(p, func() {
-			stillOld := p.Read(g.active[q]) != 0 && p.Read(g.queueID[q]) != qidQueue0+Word(idx)
-			if stillOld {
-				p.Write(g.delegate[q], queueKey(idx, self)+1)
-				delegated = true
-			}
-		})
-	case pos == Word(g.n): // 37
-		g.exchangeQueues(p, idx)
-	}
-	if !delegated {
-		g.signalSuccessor(p, idx, self) // 41–45, with marker relay
-	}
-	g.signalSelfSite(p, me, func() {
-		p.Write(g.active[me], 0) // 47
-	})
+// withdraw abandons a request that holds no baton: going inactive
+// through the process site both releases any exit-section waiter on
+// this slot and fires a delegation registered in the meantime.
+func (a *GDSMAbortable) withdraw(p *memsim.Proc, me int) {
+	c := a.gdsm.core
+	a.gdsm.signalSelfSite(p, me, func() {
+		p.Write(c.active[me], 0)
+	}, func(idx int, self Word) { a.relay(idx).release(p, self) })
 }
-
-// signalSuccessor establishes Signal[idx][self] — or, when the waiter
-// there withdrew, follows its marker and releases the next live waiter
-// down the queue instead.
-func (g *GDSMAbortable) signalSuccessor(p *memsim.Proc, idx int, self Word) {
-	for {
-		var marker Word
-		sig := g.signal[idx].At(self)
-		g.queueSite.At(queueKey(idx, self)).Signal(p, func() {
-			marker = p.Read(g.mark[idx].At(self))
-			if marker != 0 {
-				p.Write(g.mark[idx].At(self), 0)
-			} else {
-				p.Write(sig, 1) // 42
-			}
-		})
-		if marker == 0 {
-			return
-		}
-		self = marker
-	}
-}
-
-// signalSelfSite runs an establishing write on process me's own site
-// and drains a pending delegation, exactly as GDSM.signalSelfSite —
-// except the delegated successor signal fires through the relay.
-func (g *GDSMAbortable) signalSelfSite(p *memsim.Proc, me int, establish func()) {
-	var duty Word
-	g.procSites.At(Word(me)).Signal(p, func() {
-		establish()
-		duty = p.Read(g.delegate[me])
-		if duty != 0 {
-			p.Write(g.delegate[me], 0)
-		}
-	})
-	if duty != 0 {
-		k := duty - 1
-		g.signalSuccessor(p, int(k&1), k>>1)
-	}
-}
-
-// exchangeQueues is GDSM's (Fig. 3 lines 38–40), including the
-// stale-signal clear — which here also covers the signal a marker
-// relay can establish at the tail after its waiter withdrew.
-func (g *GDSMAbortable) exchangeQueues(p *memsim.Proc, idx int) {
-	old := 1 - idx
-	for slot := 0; slot < g.n; slot++ {
-		if g.m.Value(g.active[slot]) != 0 && g.m.Value(g.queueID[slot]) == qidQueue0+Word(old) {
-			p.Fail("core: invariant I1 violated: slot %d still active in old queue %d at exchange", slot, old)
-		}
-	}
-	if last := p.Read(g.tail[old]); last != phi.Bottom {
-		p.Write(g.signal[old].At(last), 0)
-	}
-	p.Write(g.tail[old], phi.Bottom)
-	p.Write(g.position[old], 0)
-	p.Write(g.currentQueue, Word(old))
-}
-
-// Compile-time interface checks.
-var (
-	_ AbortableLock = (*TokenAbortable)(nil)
-	_ AbortableLock = (*GDSMAbortable)(nil)
-)

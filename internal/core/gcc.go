@@ -5,18 +5,32 @@
 //     exclusion algorithm for CC machines, driven by any fetch-and-φ
 //     primitive of rank ≥ 2N;
 //   - GDSM — Algorithm G-DSM (Fig. 3): its DSM counterpart, obtained
-//     through the Sec. 3 await transformation (Site);
+//     through the Sec. 3 await transformation (internal/localspin);
 //   - Tree — the arbitration tree of Theorem 1, giving Θ(log_r N) RMR
 //     from any primitive of rank r ≥ 4;
 //   - T0 — Algorithm T0 (Fig. 6), the Θ(log N / log log N) algorithm
 //     over the Node_Type object (Fig. 5);
 //   - T — Algorithm T (Fig. 10), the same bound from any
-//     self-resettable fetch-and-φ primitive of rank ≥ 3.
+//     self-resettable fetch-and-φ primitive of rank ≥ 3;
+//   - TokenAbortable and GDSMAbortable — abortable locks with O(1)
+//     amortized RMR per passage.
+//
+// The algorithms are built from four shared parts rather than
+// near-duplicate bodies:
+//
+//   - the queue core (queueCore): G-CC's two fetch-and-φ queues,
+//     their exchange, and the two-process mutex between their heads —
+//     used by GCC, GDSM and GDSMAbortable;
+//   - the exit handshake (GDSM.exit): G-DSM's position sweep,
+//     successor signal and delegation, which GDSMAbortable reuses;
+//   - the abort-marker relay (markerRelay): the baton hand-off past
+//     withdrawn waiters of TokenAbortable and GDSMAbortable;
+//   - the promotion skeleton (promotion): the spin, waiting-queue,
+//     barrier and final-mutex machinery of T0 and T, which differ only
+//     in how a tree node is represented.
 package core
 
 import (
-	"fmt"
-
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/phi"
 	"fetchphi/internal/twoproc"
@@ -25,60 +39,16 @@ import (
 // Word is re-exported for brevity.
 type Word = memsim.Word
 
-// Queue-id encoding for the QueueId array: ⊥, queue 0, queue 1.
-const (
-	qidBottom Word = 0
-	qidQueue0 Word = 1
-)
-
-// GCC is Algorithm G-CC. Two waiting queues, each with a tail pointer
-// updated by the fetch-and-φ primitive, are switched over time so that
-// neither tail is ever hit by more than 2N invocations between resets;
-// the heads of the two queues are arbitrated by a two-process mutex.
-// Its busy-waits target globally-homed signal and state words — the
-// paper presents it as O(1) on CC machines and applies the Sec. 3
-// transformation (G-DSM) to make the spinning local on DSM.
+// GCC is Algorithm G-CC: the queue core with the paper's busy-waits
+// left as they are. Its busy-waits target globally-homed signal and
+// state words — the paper presents it as O(1) on CC machines and
+// applies the Sec. 3 transformation (G-DSM) to make the spinning local
+// on DSM.
 //
 //fetchphilint:nonlocal G-CC is the paper's CC-machine algorithm; G-DSM is its local-spin DSM counterpart
 //fetchphilint:rmr O(1) Theorem 1: O(1) RMR on CC for any primitive of rank >= 2N
 type GCC struct {
-	m     *memsim.Machine
-	prim  phi.Primitive
-	slots int
-
-	currentQueue memsim.Var
-	tail         [2]memsim.Var
-	position     [2]memsim.Var
-	signal       [2]*memsim.Dict // Signal[j] keyed by fetch-and-φ value
-	active       []memsim.Var    // Active[slot]
-	queueID      []memsim.Var    // QueueId[slot]
-	two          *twoproc.Mutex
-
-	// skipStaleClear disables the stale-signal completion in
-	// exchangeQueues — the E8a ablation that demonstrates why the
-	// printed algorithm needs it.
-	skipStaleClear bool
-
-	// posFromPrev enables the fetch-and-increment specialization the
-	// paper's conclusion hints at ("by exploiting the semantics of a
-	// particular primitive, our algorithms could be optimized
-	// considerably"): with fetch-and-increment, the k-th enqueuer of
-	// a generation receives exactly k−1 from the tail, which IS its
-	// queue position — so the shared Position counters (a read and a
-	// write per exit, on a contended line) vanish.
-	posFromPrev bool
-
-	st []gccState
-}
-
-// gccState is slot-private state carried from Acquire to Release. (At
-// the top level each process owns one slot; inside an arbitration-tree
-// node the processes of one subtree share a slot, one at a time.)
-type gccState struct {
-	inv  *phi.Invoker
-	idx  int  // queue joined by the last Acquire
-	self Word // value the last Acquire wrote to the tail
-	prev Word // value the last Acquire received from the tail
+	core *queueCore
 }
 
 // NewGCC builds an instance for m's N processes on top of prim, whose
@@ -94,43 +64,17 @@ func NewGCC(m *memsim.Machine, prim phi.Primitive) *GCC {
 // arbitration tree guarantees this structurally). prim's rank must be
 // at least 2·slots.
 func NewGCCSized(m *memsim.Machine, prim phi.Primitive, slots int, name string) *GCC {
-	if r := prim.Rank(); r < 2*slots {
-		panic(fmt.Sprintf("core: G-CC needs rank >= 2N = %d, but %s has rank %d", 2*slots, prim.Name(), r))
-	}
-	g := &GCC{
-		m:            m,
-		prim:         prim,
-		slots:        slots,
-		currentQueue: m.NewVar(name+".CurrentQueue", memsim.HomeGlobal, 0),
-		tail: [2]memsim.Var{
-			m.NewVar(name+".Tail[0]", memsim.HomeGlobal, phi.Bottom),
-			m.NewVar(name+".Tail[1]", memsim.HomeGlobal, phi.Bottom),
-		},
-		position: [2]memsim.Var{
-			m.NewVar(name+".Position[0]", memsim.HomeGlobal, 0),
-			m.NewVar(name+".Position[1]", memsim.HomeGlobal, 0),
-		},
-		signal: [2]*memsim.Dict{
-			m.NewDict(name+".Signal[0]", memsim.HomeGlobal, 0),
-			m.NewDict(name+".Signal[1]", memsim.HomeGlobal, 0),
-		},
-		active:  m.NewArray(name+".Active", slots, memsim.HomeGlobal, 0),
-		queueID: m.NewArray(name+".QueueId", slots, memsim.HomeGlobal, qidBottom),
-		two:     twoproc.New(m, name+".two"),
-		st:      make([]gccState, slots),
-	}
-	for s := 0; s < slots; s++ {
-		g.st[s].inv = phi.NewInvoker(prim, s)
-	}
-	return g
+	c := newQueueCore(m, prim, slots, name, "G-CC")
+	c.two = twoproc.New(m, name+".two")
+	return &GCC{core: c}
 }
 
 // Name implements harness.Algorithm.
 func (g *GCC) Name() string {
-	if g.posFromPrev {
-		return "g-cc-specialized/" + g.prim.Name()
+	if g.core.posFromPrev {
+		return "g-cc-specialized/" + g.core.prim.Name()
 	}
-	return "g-cc/" + g.prim.Name()
+	return "g-cc/" + g.core.prim.Name()
 }
 
 // Acquire implements the entry section (Fig. 2, lines 1–11) with the
@@ -143,102 +87,38 @@ func (g *GCC) Release(p *memsim.Proc) { g.ReleaseSlot(p, p.ID()) }
 // AcquireSlot performs the entry section for the competitor occupying
 // the given slot.
 func (g *GCC) AcquireSlot(p *memsim.Proc, slot int) {
-	st := &g.st[slot]
-
-	p.Write(g.queueID[slot], qidBottom)            // 1
-	p.Write(g.active[slot], 1)                     // 2
-	idx := int(p.Read(g.currentQueue))             // 3
-	p.Write(g.queueID[slot], qidQueue0+Word(idx))  // 4
-	input := st.inv.UpdateInput()                  // 7 (counter advance)
-	prev := p.FetchPhi(g.tail[idx], g.prim, input) // 5
-	self := g.prim.Apply(prev, input)              // 6
-	if prev != phi.Bottom {                        // 8
-		sig := g.signal[idx].At(prev)
+	c := g.core
+	idx := c.begin(p, slot)                                  // 1–3
+	p.Write(c.queueID[slot], qidQueue0+Word(idx))            // 4
+	if prev := c.enqueue(p, slot, idx); prev != phi.Bottom { // 5–8
+		sig := c.signal[idx].At(prev)
 		p.AwaitTrue(sig) // 9
 		p.Write(sig, 0)  // 10
 	}
-	g.two.Acquire(p, idx) // 11
-
-	st.idx, st.self, st.prev = idx, self, prev
+	c.two.Acquire(p, idx) // 11
 }
 
 // ReleaseSlot performs the exit section for the competitor occupying
 // the given slot.
 func (g *GCC) ReleaseSlot(p *memsim.Proc, slot int) {
-	st := &g.st[slot]
-	idx := st.idx
-
-	var pos Word
-	if g.posFromPrev {
-		pos = st.prev // the fetch value is the position, by f&i semantics
-	} else {
-		pos = p.Read(g.position[idx])   // 12
-		p.Write(g.position[idx], pos+1) // 13
-	}
-	g.two.Release(p, idx) // 14
-	switch {
-	case pos < Word(g.slots) && pos != Word(slot) && p.Read(g.active[pos]) != 0: // 15
-		q := int(pos)                                   // 16
-		p.Await(func(read func(memsim.Var) Word) bool { // 17–18
-			return read(g.active[q]) == 0 || read(g.queueID[q]) == qidQueue0+Word(idx)
-		}, g.active[q], g.queueID[q])
-	case pos == Word(g.slots): // 19
-		g.exchangeQueues(p, idx)
-	}
-	p.Write(g.signal[idx].At(st.self), 1) // 23
-	p.Write(g.active[slot], 0)            // 24
-}
-
-// exchangeQueues resets the old queue and makes it current (Fig. 2,
-// lines 20–22). Invariant (I1) guarantees the old queue is empty here.
-//
-// Completion of the printed algorithm: the last enqueuer of the old
-// queue's ended generation set Signal[1−idx][self] with no successor to
-// consume it; that value is exactly the old tail's current value. If
-// left set, a process in a LATER generation of that queue that obtains
-// the same fetch-and-φ value as its predecessor's self (values may
-// recur once the tail is reset to ⊥) would skip waiting and break the
-// queue discipline. We clear the single stale key before resetting the
-// tail; this costs O(1) reads/writes and is safe precisely because of
-// (I1). See DESIGN.md, "Deviations".
-func (g *GCC) exchangeQueues(p *memsim.Proc, idx int) {
-	old := 1 - idx
-	g.assertOldQueueEmpty(p, old)
-	if !g.skipStaleClear {
-		if last := p.Read(g.tail[old]); last != phi.Bottom {
-			p.Write(g.signal[old].At(last), 0)
-		}
-	}
-	p.Write(g.tail[old], phi.Bottom) // 20
-	if !g.posFromPrev {
-		p.Write(g.position[old], 0) // 21; implicit in the tail reset otherwise
-	}
-	p.Write(g.currentQueue, Word(old)) // 22
-}
-
-// assertOldQueueEmpty checks the paper's invariant (I1) at the moment
-// it is needed: when the process at position N exchanges the queues,
-// no slot may still be executing in the old queue. The check inspects
-// machine state host-side (no simulated cost) and turns a violated
-// invariant into an immediate, attributable failure instead of silent
-// downstream corruption.
-func (g *GCC) assertOldQueueEmpty(p *memsim.Proc, old int) {
-	for slot := 0; slot < g.slots; slot++ {
-		if g.m.Value(g.active[slot]) != 0 && g.m.Value(g.queueID[slot]) == qidQueue0+Word(old) {
-			p.Fail("core: invariant I1 violated: slot %d still active in old queue %d at exchange", slot, old)
-		}
-	}
+	c := g.core
+	st := &c.st[slot]
+	pos := c.nextPosition(p, slot)           // 12–13
+	c.two.Release(p, st.idx)                 // 14
+	c.sweep(p, slot, pos, nil)               // 15–22
+	p.Write(c.signal[st.idx].At(st.self), 1) // 23
+	p.Write(c.active[slot], 0)               // 24
 }
 
 // NewGCCFetchInc builds the fetch-and-increment specialization of
 // G-CC: queue positions are read off the fetch values instead of the
 // shared Position counters, removing two operations and one contended
-// variable per exit (see the posFromPrev field). Semantically
+// variable per exit (see queueCore.posFromPrev). Semantically
 // equivalent to NewGCC(m, phi.FetchAndIncrement{}); measured in
 // ablation E8f.
 func NewGCCFetchInc(m *memsim.Machine) *GCC {
 	g := NewGCCSized(m, phi.FetchAndIncrement{}, m.NumProcs(), "gcc-fi")
-	g.posFromPrev = true
+	g.core.posFromPrev = true
 	return g
 }
 
@@ -249,6 +129,6 @@ func NewGCCFetchInc(m *memsim.Machine) *GCC {
 // exclusion.
 func NewGCCWithoutStaleClear(m *memsim.Machine, prim phi.Primitive) *GCC {
 	g := NewGCC(m, prim)
-	g.skipStaleClear = true
+	g.core.skipStaleClear = true
 	return g
 }

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-
+	"fetchphi/internal/localspin"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/phi"
 	"fetchphi/internal/twoproc"
@@ -21,40 +20,35 @@ import (
 //   - process sites, keyed by process id: an exiting process at
 //     position q waits for process q to leave the old queue (Waiter1).
 //
-// Fig. 3's boldface lines map to Site.Wait (13–21, 28–36) and
-// Site.Signal (4–8, 41–45, 46–50).
+// Fig. 3's boldface lines map to localspin.Site.Wait (13–21, 28–36)
+// and localspin.Site.Signal (4–8, 41–45, 46–50).
 //
 //fetchphilint:rmr O(1) Theorem 1 via the Sec. 3 transformation: O(1) RMR on CC and DSM
 type GDSM struct {
-	m     *memsim.Machine
-	prim  phi.Primitive
-	slots int
+	core *queueCore
 
-	currentQueue memsim.Var
-	tail         [2]memsim.Var
-	position     [2]memsim.Var
-	signal       [2]*memsim.Dict
-	active       []memsim.Var
-	queueID      []memsim.Var
-	two          *twoproc.Mutex
+	procSites *localspin.SiteSet // Waiter1 sites, keyed by process id
+	queueSite *localspin.SiteSet // Waiter2 sites, keyed by (queue, value)
 
-	procSites *SiteSet // Waiter1 sites, keyed by process id
-	queueSite *SiteSet // Waiter2 sites, keyed by (queue, value)
-
-	// noExitWait enables the exit-handshake extension the paper
-	// sketches after presenting G-CC ("with a slightly more
+	// delegate is non-nil exactly under the exit-handshake extension
+	// the paper sketches after presenting G-CC ("with a slightly more
 	// complicated handshake, such waiting can be eliminated"): an
 	// exiting process that finds its position's process q still in
 	// the old queue does not wait for q — it registers a delegation
 	// in delegate[q] (atomically with q's state, via q's process
 	// site) instructing q to signal the successor when q finishes.
-	noExitWait bool
-	// delegate[q] holds an encoded (queue, value) successor signal q
+	// delegate[q] holds the encoded (queue, value) successor signal q
 	// must fire, or 0.
 	delegate []memsim.Var
-
-	st []gccState // same private state shape as G-CC
 }
+
+// successor fires the signal that lets the waiter behind value self of
+// queue idx proceed (Fig. 3 lines 41–45): G-DSM establishes it,
+// GDSMAbortable relays it past withdrawn waiters. The entry and exit
+// sections take it as a function literal at each call site, not from a
+// field, so the relay's loop stays out of G-DSM's call graph and the
+// static O(1) bound (rmrbound) still holds for G-DSM.
+type successor func(idx int, self Word)
 
 // NewGDSM builds an instance for m's N processes on top of prim, whose
 // rank must be at least 2N.
@@ -68,7 +62,7 @@ func NewGDSM(m *memsim.Machine, prim phi.Primitive) *GDSM {
 // the process being waited on and fired when it finishes.
 func NewGDSMNoExitWait(m *memsim.Machine, prim phi.Primitive) *GDSM {
 	g := NewGDSMSized(m, prim, m.NumProcs(), "gdsm-nw")
-	g.noExitWait = true
+	g.delegate = m.NewArray("gdsm-nw.Delegate", m.NumProcs(), memsim.HomeGlobal, 0)
 	return g
 }
 
@@ -76,46 +70,21 @@ func NewGDSMNoExitWait(m *memsim.Machine, prim phi.Primitive) *GDSM {
 // NewGCCSized for the slot contract. prim's rank must be at least
 // 2·slots.
 func NewGDSMSized(m *memsim.Machine, prim phi.Primitive, slots int, name string) *GDSM {
-	if r := prim.Rank(); r < 2*slots {
-		panic(fmt.Sprintf("core: G-DSM needs rank >= 2N = %d, but %s has rank %d", 2*slots, prim.Name(), r))
+	c := newQueueCore(m, prim, slots, name, "G-DSM")
+	c.two = twoproc.New(m, name+".two")
+	return &GDSM{
+		core:      c,
+		procSites: localspin.NewSiteSet(m, name+".W1"),
+		queueSite: localspin.NewSiteSet(m, name+".W2"),
 	}
-	g := &GDSM{
-		m:            m,
-		prim:         prim,
-		slots:        slots,
-		currentQueue: m.NewVar(name+".CurrentQueue", memsim.HomeGlobal, 0),
-		tail: [2]memsim.Var{
-			m.NewVar(name+".Tail[0]", memsim.HomeGlobal, phi.Bottom),
-			m.NewVar(name+".Tail[1]", memsim.HomeGlobal, phi.Bottom),
-		},
-		position: [2]memsim.Var{
-			m.NewVar(name+".Position[0]", memsim.HomeGlobal, 0),
-			m.NewVar(name+".Position[1]", memsim.HomeGlobal, 0),
-		},
-		signal: [2]*memsim.Dict{
-			m.NewDict(name+".Signal[0]", memsim.HomeGlobal, 0),
-			m.NewDict(name+".Signal[1]", memsim.HomeGlobal, 0),
-		},
-		active:    m.NewArray(name+".Active", slots, memsim.HomeGlobal, 0),
-		queueID:   m.NewArray(name+".QueueId", slots, memsim.HomeGlobal, qidBottom),
-		two:       twoproc.New(m, name+".two"),
-		procSites: NewSiteSet(m, name+".W1"),
-		queueSite: NewSiteSet(m, name+".W2"),
-		st:        make([]gccState, slots),
-	}
-	g.delegate = m.NewArray(name+".Delegate", m.NumProcs(), memsim.HomeGlobal, 0)
-	for s := 0; s < slots; s++ {
-		g.st[s].inv = phi.NewInvoker(prim, s)
-	}
-	return g
 }
 
 // Name implements harness.Algorithm.
 func (g *GDSM) Name() string {
-	if g.noExitWait {
-		return "g-dsm-nowait/" + g.prim.Name()
+	if g.delegate != nil {
+		return "g-dsm-nowait/" + g.core.prim.Name()
 	}
-	return "g-dsm/" + g.prim.Name()
+	return "g-dsm/" + g.core.prim.Name()
 }
 
 // queueKey packs a (queue index, fetch-and-φ value) site key.
@@ -131,86 +100,83 @@ func (g *GDSM) Release(p *memsim.Proc) { g.ReleaseSlot(p, p.ID()) }
 // AcquireSlot performs the entry section for the competitor occupying
 // the given slot.
 func (g *GDSM) AcquireSlot(p *memsim.Proc, slot int) {
-	st := &g.st[slot]
-	me := slot
-
-	p.Write(g.queueID[me], qidBottom)  // 1
-	p.Write(g.active[me], 1)           // 2
-	idx := int(p.Read(g.currentQueue)) // 3
-	// 4–8: setting QueueId[p] may release an exit-section waiter —
-	// or, with the handshake extension, pick up a delegated
-	// successor signal to fire.
-	g.signalSelfSite(p, me, func() {
-		p.Write(g.queueID[me], qidQueue0+Word(idx)) // 5
-	})
-	input := st.inv.UpdateInput()                  // 11 (counter advance)
-	prev := p.FetchPhi(g.tail[idx], g.prim, input) // 9
-	self := g.prim.Apply(prev, input)              // 10
-	if prev != phi.Bottom {                        // 12
-		sig := g.signal[idx].At(prev)
+	c := g.core
+	idx := g.announce(p, slot, func(idx int, self Word) { g.signalSuccessor(p, idx, self) }) // 1–8
+	if prev := c.enqueue(p, slot, idx); prev != phi.Bottom {                                 // 9–12
+		sig := c.signal[idx].At(prev)
 		// 13–20: wait for the predecessor's signal, spinning locally.
 		g.queueSite.At(queueKey(idx, prev)).Wait(p, func(read func(memsim.Var) Word) bool {
 			return read(sig) != 0 // 14
 		})
 		p.Write(sig, 0) // 21
 	}
-	g.two.Acquire(p, idx) // 22
-
-	st.idx, st.self = idx, self
+	c.two.Acquire(p, idx) // 22
 }
 
 // ReleaseSlot performs the exit section for the competitor occupying
 // the given slot.
 func (g *GDSM) ReleaseSlot(p *memsim.Proc, slot int) {
-	st := &g.st[slot]
-	idx := st.idx
-	me := slot
+	c := g.core
+	pos := c.nextPosition(p, slot)   // 23–24
+	c.two.Release(p, c.st[slot].idx) // 25
+	g.exit(p, slot, pos, func(idx int, self Word) { g.signalSuccessor(p, idx, self) })
+}
 
-	pos := p.Read(g.position[idx])  // 23
-	p.Write(g.position[idx], pos+1) // 24
-	g.two.Release(p, idx)           // 25
+// announce opens slot's entry section (Fig. 3 lines 1–8) and returns
+// the queue it will join. Setting QueueId goes through slot's process
+// site: it may release an exit-section waiter — or, with the handshake
+// extension, pick up a delegated successor signal for fire to send.
+func (g *GDSM) announce(p *memsim.Proc, slot int, fire successor) int {
+	c := g.core
+	idx := c.begin(p, slot) // 1–3
+	g.signalSelfSite(p, slot, func() {
+		p.Write(c.queueID[slot], qidQueue0+Word(idx)) // 5
+	}, fire)
+	return idx
+}
+
+// exit is the exit section after the position step (Fig. 3 lines
+// 26–50): the position sweep, the successor signal through fire, and
+// going inactive.
+func (g *GDSM) exit(p *memsim.Proc, slot int, pos Word, fire successor) {
+	c := g.core
+	st := &c.st[slot]
 	delegated := false
-	switch {
-	case pos < Word(g.slots) && pos != Word(me) && p.Read(g.active[pos]) != 0: // 26
-		q := int(pos) // 27
-		if g.noExitWait {
-			// Handshake extension: atomically with q's own state
-			// transitions (the site mutex), either observe q done /
-			// in my queue (no action needed) or leave q the duty of
-			// signalling my successor.
-			g.procSites.At(pos).Visit(p, func() {
-				stillOld := p.Read(g.active[q]) != 0 && p.Read(g.queueID[q]) != qidQueue0+Word(idx)
-				if stillOld {
-					p.Write(g.delegate[q], queueKey(idx, st.self)+1)
-					delegated = true
-				}
-			})
-		} else {
+	c.sweep(p, slot, pos, func(q int) { // 26–40
+		if g.delegate == nil {
 			// 28–36: wait for q to finish or reveal itself in my
 			// queue.
-			g.procSites.At(pos).Wait(p, func(read func(memsim.Var) Word) bool {
-				return read(g.active[q]) == 0 || read(g.queueID[q]) == qidQueue0+Word(idx)
+			g.procSites.At(Word(q)).Wait(p, func(read func(memsim.Var) Word) bool {
+				return read(c.active[q]) == 0 || read(c.queueID[q]) == qidQueue0+Word(st.idx)
 			})
+			return
 		}
-	case pos == Word(g.slots): // 37
-		g.exchangeQueues(p, idx)
-	}
+		// Handshake extension: atomically with q's own state
+		// transitions (the site mutex), either observe q done / in my
+		// queue (no action needed) or leave q the duty of signalling
+		// my successor.
+		g.procSites.At(Word(q)).Visit(p, func() {
+			if p.Read(c.active[q]) != 0 && p.Read(c.queueID[q]) != qidQueue0+Word(st.idx) {
+				p.Write(g.delegate[q], queueKey(st.idx, st.self)+1)
+				delegated = true
+			}
+		})
+	})
 	if !delegated {
-		// 41–45: signal the successor in my queue.
-		g.signalSuccessor(p, idx, st.self)
+		fire(st.idx, st.self) // 41–45: signal the successor in my queue
 	}
 	// 46–50: go inactive, possibly releasing an exit-section waiter —
 	// and fire any successor signal delegated to us.
-	g.signalSelfSite(p, me, func() {
-		p.Write(g.active[me], 0) // 47
-	})
+	g.signalSelfSite(p, slot, func() {
+		p.Write(c.active[slot], 0) // 47
+	}, fire)
 }
 
 // signalSuccessor performs Fig. 3 lines 41–45 for the given queue and
 // fetch-and-φ value — by the owning process, or by a delegate under
 // the handshake extension.
 func (g *GDSM) signalSuccessor(p *memsim.Proc, idx int, self Word) {
-	sig := g.signal[idx].At(self)
+	sig := g.core.signal[idx].At(self)
 	g.queueSite.At(queueKey(idx, self)).Signal(p, func() {
 		p.Write(sig, 1) // 42
 	})
@@ -221,11 +187,11 @@ func (g *GDSM) signalSuccessor(p *memsim.Proc, idx int, self Word) {
 // extension, drains a pending delegation: the establishment that makes
 // the exit-waiter's condition true is exactly the moment the delegated
 // successor signal becomes ours to fire.
-func (g *GDSM) signalSelfSite(p *memsim.Proc, me int, establish func()) {
+func (g *GDSM) signalSelfSite(p *memsim.Proc, me int, establish func(), fire successor) {
 	var duty Word
 	g.procSites.At(Word(me)).Signal(p, func() {
 		establish()
-		if g.noExitWait {
+		if g.delegate != nil {
 			duty = p.Read(g.delegate[me])
 			if duty != 0 {
 				p.Write(g.delegate[me], 0)
@@ -234,35 +200,6 @@ func (g *GDSM) signalSelfSite(p *memsim.Proc, me int, establish func()) {
 	})
 	if duty != 0 {
 		k := duty - 1
-		g.signalSuccessor(p, int(k&1), k>>1)
+		fire(int(k&1), k>>1)
 	}
 }
-
-// exchangeQueues is identical to G-CC's (Fig. 3 lines 38–40), including
-// the stale-signal completion described on GCC.exchangeQueues.
-func (g *GDSM) exchangeQueues(p *memsim.Proc, idx int) {
-	old := 1 - idx
-	g.assertOldQueueEmpty(p, old)
-	if last := p.Read(g.tail[old]); last != phi.Bottom {
-		p.Write(g.signal[old].At(last), 0)
-	}
-	p.Write(g.tail[old], phi.Bottom)
-	p.Write(g.position[old], 0)
-	p.Write(g.currentQueue, Word(old))
-}
-
-// assertOldQueueEmpty checks invariant (I1) host-side, as in GCC.
-func (g *GDSM) assertOldQueueEmpty(p *memsim.Proc, old int) {
-	for slot := 0; slot < g.slots; slot++ {
-		if g.m.Value(g.active[slot]) != 0 && g.m.Value(g.queueID[slot]) == qidQueue0+Word(old) {
-			p.Fail("core: invariant I1 violated: slot %d still active in old queue %d at exchange", slot, old)
-		}
-	}
-}
-
-// Compile-time check that both variants expose the same surface.
-var _ = []interface {
-	Name() string
-	Acquire(*memsim.Proc)
-	Release(*memsim.Proc)
-}{(*GCC)(nil), (*GDSM)(nil)}

@@ -120,3 +120,29 @@ func TestNoExitWaitName(t *testing.T) {
 		t.Fatalf("Name() = %q", got)
 	}
 }
+
+// TestDelegateOnlyWithExitHandshake checks that the Delegate array,
+// which only the exit-handshake extension reads, is allocated only by
+// the instances that run it: an arbitration tree's G-DSM nodes hold
+// none, the no-exit-wait variant and abortable G-DSM hold one word
+// per process.
+func TestDelegateOnlyWithExitHandshake(t *testing.T) {
+	const n = 16
+	tr := NewTree(memsim.NewMachine(memsim.DSM, n), phi.NewBoundedFetchInc(4))
+	for level, nodes := range tr.nodes {
+		for i, node := range nodes {
+			if node.delegate != nil {
+				t.Fatalf("tree node L%d.%d holds %d Delegate variables", level, i, len(node.delegate))
+			}
+		}
+	}
+	if g := NewGDSM(memsim.NewMachine(memsim.DSM, n), phi.FetchAndIncrement{}); g.delegate != nil {
+		t.Fatalf("G-DSM without the handshake holds %d Delegate variables", len(g.delegate))
+	}
+	if g := NewGDSMNoExitWait(memsim.NewMachine(memsim.DSM, n), phi.FetchAndIncrement{}); len(g.delegate) != n {
+		t.Fatalf("no-exit-wait G-DSM holds %d Delegate variables, want %d", len(g.delegate), n)
+	}
+	if a := NewGDSMAbortable(memsim.NewMachine(memsim.DSM, n), phi.FetchAndIncrement{}); len(a.gdsm.delegate) != n {
+		t.Fatalf("abortable G-DSM holds %d Delegate variables, want %d", len(a.gdsm.delegate), n)
+	}
+}

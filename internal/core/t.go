@@ -2,19 +2,15 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"fetchphi/internal/barrier"
 	"fetchphi/internal/memsim"
 	"fetchphi/internal/phi"
-	"fetchphi/internal/queue"
 	"fetchphi/internal/twoproc"
 )
 
 // T is Algorithm T (Fig. 10): the Θ(log N / log log N) arbitration
 // tree driven by a generic *self-resettable* fetch-and-φ primitive of
-// rank ≥ 3. It has the same promotion/queue/barrier skeleton as T0,
-// but each node is represented by plain fetch-and-φ variables instead
+// rank ≥ 3. It has the same promotion skeleton as T0, but each node is represented by plain fetch-and-φ variables instead
 // of the Node_Type object:
 //
 //	Lock[n][0]    — primary-winner lock (fetch-and-update/reset)
@@ -33,10 +29,7 @@ import (
 // what keeps each regime's winner unique.
 type T struct {
 	prim phi.SelfResettable
-
-	n        int
-	degree   int
-	maxLevel int
+	tree *promotion
 
 	lock0      [][]memsim.Var // Lock[lev][idx][0]
 	lock1      [][]memsim.Var // Lock[lev][idx][1]
@@ -44,14 +37,6 @@ type T struct {
 	winner0    [][]memsim.Var // Winner[lev][idx][0]
 	winner1    [][]memsim.Var // Winner[lev][idx][1]
 	waiter     [][]memsim.Var // Waiter[lev][idx]
-	nodeBase   []int          // global node-id offset per level
-
-	spin     []memsim.Var
-	inTree   []memsim.Var
-	wq       *queue.Queue
-	promoted memsim.Var
-	bar      *barrier.Barrier
-	two      *twoproc.Mutex
 
 	// rootTwo arbitrates the (up to two) concurrent root acquirers:
 	// the node protocol deliberately lets both a primary and a
@@ -64,29 +49,19 @@ type T struct {
 	// "Deviations".
 	rootTwo *twoproc.Mutex
 
-	// inTreeSites holds the Sec. 3 transformation sites for the exit
-	// section's "await ¬InTree[q]" wait (nil on CC machines).
-	inTreeSites *SiteSet
-
 	st []tState
 }
 
 // tState is the per-process private state.
 type tState struct {
-	breakLevel int
-	rootSide   int                         // side used on rootTwo when breakLevel == 0
-	lockVal    []Word                      // lock[lev]: value my update wrote
-	inv        map[memsim.Var]*phi.Invoker // per-variable invocation counters
+	rootSide int                         // side used on rootTwo by a root winner
+	lockVal  []Word                      // lock[lev]: value my update wrote
+	inv      map[memsim.Var]*phi.Invoker // per-variable invocation counters
 }
 
 // NewT builds Algorithm T with the paper's degree m = √(log₂ N).
 func NewT(m *memsim.Machine, prim phi.SelfResettable) *T {
-	n := m.NumProcs()
-	deg := int(math.Round(math.Sqrt(math.Log2(float64(n) + 1))))
-	if deg < 2 {
-		deg = 2
-	}
-	return NewTWithDegree(m, prim, deg)
+	return NewTWithDegree(m, prim, defaultDegree(m.NumProcs()))
 }
 
 // NewTWithDegree builds Algorithm T with an explicit tree degree.
@@ -97,47 +72,22 @@ func NewTWithDegree(m *memsim.Machine, prim phi.SelfResettable, degree int) *T {
 	if prim.Rank() < 3 {
 		panic(fmt.Sprintf("core: Algorithm T needs rank >= 3, but %s has rank %d", prim.Name(), prim.Rank()))
 	}
-	n := m.NumProcs()
+	tree, widths := newPromotion(m, "t", degree)
+	levels := tree.maxLevel + 1
 	t := &T{
-		prim:     prim,
-		n:        n,
-		degree:   degree,
-		spin:     m.NewPerProcArray("t.Spin", 0),
-		inTree:   m.NewPerProcArray("t.InTree", 0),
-		wq:       queue.New(m, "t.wq"),
-		promoted: m.NewVar("t.Promoted", memsim.HomeGlobal, 0),
-		bar:      barrier.New(m, "t.bar"),
-		two:      twoproc.New(m, "t.two"),
-		rootTwo:  twoproc.New(m, "t.rootTwo"),
-		st:       make([]tState, n),
+		prim:       prim,
+		tree:       tree,
+		rootTwo:    twoproc.New(m, "t.rootTwo"),
+		lock0:      make([][]memsim.Var, levels),
+		lock1:      make([][]memsim.Var, levels),
+		waiterLock: make([][]memsim.Var, levels),
+		winner0:    make([][]memsim.Var, levels),
+		winner1:    make([][]memsim.Var, levels),
+		waiter:     make([][]memsim.Var, levels),
+		st:         make([]tState, m.NumProcs()),
 	}
-	if m.Model() == memsim.DSM {
-		t.inTreeSites = NewSiteSet(m, "t.intree")
-	}
-
-	// Build levels bottom-up, as in T0.
-	var widths []int
-	width := n
-	for {
-		widths = append(widths, width)
-		if width == 1 {
-			break
-		}
-		width = (width + degree - 1) / degree
-	}
-	t.maxLevel = len(widths)
-	t.lock0 = make([][]memsim.Var, t.maxLevel+1)
-	t.lock1 = make([][]memsim.Var, t.maxLevel+1)
-	t.waiterLock = make([][]memsim.Var, t.maxLevel+1)
-	t.winner0 = make([][]memsim.Var, t.maxLevel+1)
-	t.winner1 = make([][]memsim.Var, t.maxLevel+1)
-	t.waiter = make([][]memsim.Var, t.maxLevel+1)
-	t.nodeBase = make([]int, t.maxLevel+1)
-	nextID := 0
 	for i, w := range widths {
-		lev := t.maxLevel - i
-		t.nodeBase[lev] = nextID
-		nextID += w
+		lev := tree.maxLevel - i
 		t.lock0[lev] = m.NewArray(fmt.Sprintf("t.Lock0[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)
 		t.lock1[lev] = m.NewArray(fmt.Sprintf("t.Lock1[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)
 		t.waiterLock[lev] = m.NewArray(fmt.Sprintf("t.WaiterLock[L%d]", lev), w, memsim.HomeGlobal, phi.Bottom)
@@ -145,9 +95,9 @@ func NewTWithDegree(m *memsim.Machine, prim phi.SelfResettable, degree int) *T {
 		t.winner1[lev] = m.NewArray(fmt.Sprintf("t.Winner1[L%d]", lev), w, memsim.HomeGlobal, 0)
 		t.waiter[lev] = m.NewArray(fmt.Sprintf("t.Waiter[L%d]", lev), w, memsim.HomeGlobal, 0)
 	}
-	for p := 0; p < n; p++ {
+	for p := range t.st {
 		t.st[p] = tState{
-			lockVal: make([]Word, t.maxLevel+1),
+			lockVal: make([]Word, levels),
 			inv:     make(map[memsim.Var]*phi.Invoker),
 		}
 	}
@@ -155,22 +105,10 @@ func NewTWithDegree(m *memsim.Machine, prim phi.SelfResettable, degree int) *T {
 }
 
 // Name implements harness.Algorithm.
-func (t *T) Name() string { return fmt.Sprintf("t(m=%d)/%s", t.degree, t.prim.Name()) }
+func (t *T) Name() string { return fmt.Sprintf("t(m=%d)/%s", t.tree.degree, t.prim.Name()) }
 
 // MaxLevel returns the tree height.
-func (t *T) MaxLevel() int { return t.maxLevel }
-
-// nodeIndex returns process id's node index at the given level.
-func (t *T) nodeIndex(id, lev int) int {
-	idx := id
-	for l := t.maxLevel; l > lev; l-- {
-		idx /= t.degree
-	}
-	return idx
-}
-
-// nodeID returns the global node identity used as a site key.
-func (t *T) nodeID(lev, idx int) Word { return Word(t.nodeBase[lev] + idx) }
+func (t *T) MaxLevel() int { return t.tree.maxLevel }
 
 // invoker returns process p's invocation counter for variable v.
 func (t *T) invoker(p *memsim.Proc, v memsim.Var) *phi.Invoker {
@@ -201,28 +139,6 @@ func (t *T) fetchReset(p *memsim.Proc, v memsim.Var) (prev, next Word) {
 	return prev, t.prim.Apply(prev, in)
 }
 
-// setInTreeFalse publishes that p stopped accessing the tree.
-func (t *T) setInTreeFalse(p *memsim.Proc) {
-	me := p.ID()
-	if t.inTreeSites == nil {
-		p.Write(t.inTree[me], 0)
-		return
-	}
-	t.inTreeSites.At(Word(me)).Signal(p, func() { p.Write(t.inTree[me], 0) })
-}
-
-// awaitNotInTree blocks until process q stopped accessing the tree
-// (Fig. 10 line 33).
-func (t *T) awaitNotInTree(p *memsim.Proc, q int) {
-	if t.inTreeSites == nil {
-		p.AwaitEq(t.inTree[q], 0)
-		return
-	}
-	t.inTreeSites.At(Word(q)).Wait(p, func(read func(memsim.Var) Word) bool {
-		return read(t.inTree[q]) == 0
-	})
-}
-
 // glanceWaiter reads the node's registered primary waiter, if any
 // (-1 when none). Unlike the paper's blocking "repeat q := Waiter[n]
 // until q ≠ ⊥" (Fig. 10 lines 49 and 57), this is a single read: the
@@ -238,7 +154,7 @@ func (t *T) glanceWaiter(p *memsim.Proc, lev, idx int) int {
 // acquireNode implements Fig. 10's Acquire_Node (lines 14–25).
 func (t *T) acquireNode(p *memsim.Proc, lev int) AcquireResult {
 	me := p.ID()
-	idx := t.nodeIndex(me, lev)
+	idx := t.tree.nodeIndex(me, lev)
 	if prev, next := t.fetchUpdate(p, t.lock0[lev][idx]); prev == phi.Bottom { // 15
 		p.Write(t.winner0[lev][idx], Word(me)+1) // 16
 		t.st[me].lockVal[lev] = next             // 17
@@ -262,44 +178,38 @@ const secondaryWinner AcquireResult = iota + 100
 
 // Acquire implements the entry section (Fig. 10, lines 1–13).
 func (t *T) Acquire(p *memsim.Proc) {
-	me := p.ID()
-	p.Write(t.spin[me], 0)   // 1
-	p.Write(t.inTree[me], 1) // 2
-	leafIdx := t.nodeIndex(me, t.maxLevel)
-	p.Write(t.winner0[t.maxLevel][leafIdx], Word(me)+1) // 3
+	me, tree := p.ID(), t.tree
+	tree.enter(p) // 1–2
+	leafIdx := tree.nodeIndex(me, tree.maxLevel)
+	p.Write(t.winner0[tree.maxLevel][leafIdx], Word(me)+1) // 3
 	rootSide := 0
-	for lev := t.maxLevel - 1; lev >= 1; lev-- { // 4
+	for lev := tree.maxLevel - 1; lev >= 1; lev-- { // 4
 		result := t.acquireNode(p, lev)                    // 5
 		if result != Winner && result != secondaryWinner { // 6
-			t.setInTreeFalse(p)       // 7
-			p.AwaitTrue(t.spin[me])   // 8
-			t.st[me].breakLevel = lev // 9
-			t.two.Acquire(p, 1)       // 10
+			tree.park(p, lev) // 7–10
 			return
 		}
 		if lev == 1 && result == secondaryWinner {
 			rootSide = 1
 		}
 	}
-	t.setInTreeFalse(p) // 11
-	t.st[me].breakLevel = 0
+	tree.setInTreeFalse(p) // 11
+	tree.breakLevel[me] = 0
 	t.st[me].rootSide = rootSide   // 12
 	t.rootTwo.Acquire(p, rootSide) // serialize the two root acquirers
-	t.two.Acquire(p, 0)            // 13
+	tree.two.Acquire(p, 0)         // 13
 }
 
 // Release implements the exit section (Fig. 10, lines 26–66).
 func (t *T) Release(p *memsim.Proc) {
-	me := p.ID()
+	me, tree := p.ID(), t.tree
 	st := &t.st[me]
-	t.bar.Wait(p)           // 26
-	if st.breakLevel == 0 { // 27
-		t.two.Release(p, 0) // 28
+	breakLevel := tree.beginExit(p) // 26–29
+	if breakLevel == 0 {
 		t.rootTwo.Release(p, st.rootSide)
 	} else {
-		t.two.Release(p, 1) // 29
-		lev := st.breakLevel
-		idx := t.nodeIndex(me, lev) // 30
+		lev := breakLevel
+		idx := tree.nodeIndex(me, lev) // 30
 		// 31–36, with two deviations from the printed Fig. 10 (see
 		// DESIGN.md, "Deviations"): the winner identity is read with
 		// a single glance (the blocking "repeat until ≠ ⊥" can
@@ -310,8 +220,8 @@ func (t *T) Release(p *memsim.Proc) {
 		// exit performs the release (line 48), as in T0.
 		if p.Read(t.lock0[lev][idx]) != phi.Bottom { // 31: winner regime in place
 			if q := int(p.Read(t.winner0[lev][idx])) - 1; q >= 0 { // 32
-				t.awaitNotInTree(p, q) // 33
-				t.wq.Enqueue(p, q)     // 36
+				tree.awaitNotInTree(p, q) // 33
+				tree.wq.Enqueue(p, q)     // 36
 			}
 		}
 		if p.Read(t.waiter[lev][idx]) == Word(me)+1 { // 37: I am the primary waiter
@@ -322,8 +232,8 @@ func (t *T) Release(p *memsim.Proc) {
 		t.scanChildren(p, lev, idx)
 	}
 	// 44–58: reopen each node p acquired on the way up.
-	for lev := st.breakLevel + 1; lev <= t.maxLevel-1; lev++ {
-		idx := t.nodeIndex(me, lev) // 45
+	for lev := breakLevel + 1; lev <= tree.maxLevel-1; lev++ {
+		idx := tree.nodeIndex(me, lev) // 45
 		switch {
 		case p.Read(t.winner0[lev][idx]) == Word(me)+1: // 46: primary winner
 			p.Write(t.winner0[lev][idx], 0)                  // 47
@@ -346,7 +256,7 @@ func (t *T) Release(p *memsim.Proc) {
 					p.Write(t.lock0[lev][idx], phi.Bottom) // 52
 				}
 				if q := t.glanceWaiter(p, lev, idx); q >= 0 { // 49
-					t.wq.Enqueue(p, q) // 50
+					tree.wq.Enqueue(p, q) // 50
 				}
 				t.scanChildren(p, lev, idx)
 			}
@@ -355,26 +265,15 @@ func (t *T) Release(p *memsim.Proc) {
 			p.Write(t.lock1[lev][idx], phi.Bottom)            // 55
 			if p.Read(t.waiterLock[lev][idx]) != phi.Bottom { // 56
 				if q := t.glanceWaiter(p, lev, idx); q >= 0 { // 57
-					t.wq.Enqueue(p, q) // 58
+					tree.wq.Enqueue(p, q) // 58
 				}
 				t.scanChildren(p, lev, idx)
 			}
 		}
 	}
-	leafIdx := t.nodeIndex(me, t.maxLevel)
-	p.Write(t.winner0[t.maxLevel][leafIdx], 0) // 59
-	t.wq.Remove(p, me)                         // 60
-	q := p.Read(t.promoted)                    // 61
-	if q == Word(me)+1 || q == 0 {             // 62
-		r := t.wq.Dequeue(p) // 63
-		if r >= 0 {
-			p.Write(t.promoted, Word(r)+1) // 64
-			p.Write(t.spin[r], 1)          // 65
-		} else {
-			p.Write(t.promoted, 0)
-		}
-	}
-	t.bar.Signal(p) // 66
+	leafIdx := tree.nodeIndex(me, tree.maxLevel)
+	p.Write(t.winner0[tree.maxLevel][leafIdx], 0) // 59
+	tree.finishExit(p)                            // 60–66
 }
 
 // scanChildren enqueues the registered winners (both slots) of every
@@ -385,7 +284,7 @@ func (t *T) scanChildren(p *memsim.Proc, lev, idx int) {
 	t.forEachChild(lev, idx, func(childLev, childIdx int) {
 		for _, reg := range [2][][]memsim.Var{t.winner0, t.winner1} {
 			if q := p.Read(reg[childLev][childIdx]); q != 0 {
-				t.wq.Enqueue(p, int(q)-1)
+				t.tree.wq.Enqueue(p, int(q)-1)
 			}
 		}
 	})
@@ -394,12 +293,12 @@ func (t *T) scanChildren(p *memsim.Proc, lev, idx int) {
 // forEachChild visits (level, index) of every existing child of node
 // (lev, idx).
 func (t *T) forEachChild(lev, idx int, visit func(childLev, childIdx int)) {
-	if lev >= t.maxLevel {
+	if lev >= t.tree.maxLevel {
 		return
 	}
 	childLev := lev + 1
-	base := idx * t.degree
-	for i := 0; i < t.degree; i++ {
+	base := idx * t.tree.degree
+	for i := 0; i < t.tree.degree; i++ {
 		if base+i < len(t.lock0[childLev]) {
 			visit(childLev, base+i)
 		}

@@ -17,11 +17,11 @@ import (
 // scheduling points between abort delivery and resolution.
 
 // AbortableAlgorithm is an Algorithm whose entry section can withdraw
-// in response to a delivered abort request (core.AbortableLock
-// satisfies it). AcquireAbortable returning false means the passage
-// was withdrawn and must be closed with memsim.Proc.AbortPassage; true
-// means the process holds the lock (a pending request, if any, lapses
-// at EnterCS).
+// in response to a delivered abort request (core.TokenAbortable and
+// core.GDSMAbortable implement it). AcquireAbortable returning false
+// means the passage was withdrawn and must be closed with
+// memsim.Proc.AbortPassage; true means the process holds the lock (a
+// pending request, if any, lapses at EnterCS).
 type AbortableAlgorithm interface {
 	Algorithm
 	AcquireAbortable(p *memsim.Proc) bool
